@@ -3,7 +3,7 @@ package repro.bench
 import repro.ReproSpec
 
 /** Benchmark suites, one per evaluation table. Each prints the paper-style
-  * table (captured into bench_output.txt by the run script) and asserts
+  * table (`sbt "bench/test"` prints them all) and asserts
   * the structural sanity of the measurements. Numbers land next to the
   * paper's in EXPERIMENTS.md.
   */

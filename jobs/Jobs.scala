@@ -19,50 +19,25 @@ object JobSession {
   }
 }
 
-/** Table 2 — dataset properties. `spark-submit --class repro.jobs.Table2Job`. */
-object Table2Job {
+/** Evaluation tables 2-7, one per run:
+  * `spark-submit --class repro.jobs.TablesJob <jar> <n>` with `n` in 2..7
+  * (2 datasets, 3 overall comparison, 4 query-time distribution, 5 short
+  * vs long queries, 6 result counts, 7 index and partial-result memory).
+  */
+object TablesJob {
   def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table2")
-    try println(BenchTables.table2(spark)) finally spark.stop()
-  }
-}
-
-/** Table 3 — overall comparison of the five competitors at k=6. */
-object Table3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table3")
-    try println(BenchTables.table3(spark)) finally spark.stop()
-  }
-}
-
-/** Table 4 — query-time distribution on ep/gg, k=3..8. */
-object Table4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table4")
-    try println(BenchTables.table4(spark)) finally spark.stop()
-  }
-}
-
-/** Table 5 — short vs long queries on ep, k=8. */
-object Table5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table5")
-    try println(BenchTables.table5(spark)) finally spark.stop()
-  }
-}
-
-/** Table 6 — average / maximum result counts on ep/gg. */
-object Table6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table6")
-    try println(BenchTables.table6(spark)) finally spark.stop()
-  }
-}
-
-/** Table 7 — memory of the index and of IDX-JOIN partial results. */
-object Table7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.session("pathenum-table7")
-    try println(BenchTables.table7(spark)) finally spark.stop()
+    val table: SparkSession => String = args match {
+      case Array("2") => BenchTables.table2
+      case Array("3") => BenchTables.table3(_)
+      case Array("4") => BenchTables.table4
+      case Array("5") => BenchTables.table5
+      case Array("6") => BenchTables.table6
+      case Array("7") => BenchTables.table7
+      case _ =>
+        System.err.println("usage: TablesJob <n>, with n in 2..7")
+        sys.exit(2)
+    }
+    val spark = JobSession.session(s"pathenum-table${args(0)}")
+    try println(table(spark)) finally spark.stop()
   }
 }

@@ -10,7 +10,8 @@ import scala.collection.mutable
   * Protocol scaling versus the paper (documented in DESIGN.md): per-query
   * budget defaults to 10 s instead of 120 s, and the Table 4/5 buckets
   * scale accordingly (<60 s → < budget/2, >120 s → timed out). Query counts
-  * default to 3 per graph (paper: 1000) — means over a seeded sample.
+  * default to 2 per graph and 3 per sweep point (paper: 1000) — means over
+  * a seeded sample.
   */
 object BenchTables {
 

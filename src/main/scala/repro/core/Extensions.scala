@@ -1,26 +1,28 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
-import scala.collection.mutable.ListBuffer
 
 /** Variant-constraint extensions (Appendix E).
   *
-  * All three extensions reuse the index-based left-deep engine with extra
-  * state columns, exactly as the appendix extends Algorithm 4:
+  * All three extensions reuse the index-based left-deep engine, exactly as
+  * the appendix extends Algorithm 4. The two stateful ones run the single
+  * level loop of [[LeftDeepEnum]] with a [[PathState]] — one column `st`
+  * per partial path — so they share its time budget, row cap and
+  * truncation flag:
   *
   *  - **Predicates** (`f_p(e)`): filter the edge list before index build —
   *    the index then only contains qualifying edges ("we can conduct the
   *    filtering when computing the distance ... in the index building
   *    phase"), so no enumeration change is needed.
-  *  - **Accumulative values** (Algorithm 7): carry an accumulator column
-  *    combined with a commutative/associative ⊕ at each step; emit a path
-  *    when the final value passes `f_a`. An optional monotone prune cuts
-  *    partials that can no longer satisfy the constraint (legal only when
-  *    ⊕ is monotone, e.g. nonnegative-weight sums with an upper bound).
-  *  - **Action sequences** (Algorithm 8): a DFA over edge labels drives a
-  *    state column via a join with the transition relation; a path is
+  *  - **Accumulative values** (Algorithm 7): `st` starts at `init` and
+  *    becomes `st ⊕ w(e)` at each step; a path is emitted when its final
+  *    value passes `f_a`. An optional monotone prune is the carry test: it
+  *    cuts partials that can no longer satisfy the constraint (legal only
+  *    when ⊕ is monotone, e.g. nonnegative-weight sums with an upper bound).
+  *  - **Action sequences** (Algorithm 8): `st` is a DFA state. The edge
+  *    relation is joined with the transition relation on the edge label;
+  *    a step needs `tr_state = st` and moves `st` to `tr_next`. A path is
   *    emitted when it ends at `t` in an accepting state.
   */
 object Extensions {
@@ -44,20 +46,13 @@ object Extensions {
                    init: Double, op: (Column, Column) => Column, accepts: Column => Column,
                    prune: Option[Column => Column] = None,
                    cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Double)]) = {
-    val index = LightIndex.build(spark, weightedEdges.select("src", "dst"), q)
-    try {
-      val rel = LeftDeepEnum.indexRelation(index)
-        .join(weightedEdges.select(col("src").as("er_src"), col("dst").as("er_dst"),
-          col("w").as("er_w")), Seq("er_src", "er_dst"))
-      val (res, paths) = statefulRun(spark, rel, q, cfg,
-        initState = lit(init),
-        step = (state, row) => op(state, row("er_w")),
-        emit = (state, _) => accepts(state),
-        carryFilter = prune)
-      val withAcc = paths.map { case (p, st) => (p, st.toString.toDouble) }
-      (PathEnumResult(res, PlanInfo("DFS(acc)", -1, None, None, None),
-        index.buildMs, 0.0, index.edgeCount, index.memoryBytes), withAcc)
-    } finally index.unpersist()
+    val st = col("st")
+    val state = PathState(init = lit(init), cond = lit(true), next = op(st, col("er_w")),
+      accept = accepts(st), carry = prune.fold(lit(true))(_(st)))
+    val attrs = weightedEdges.select(col("src").as("er_src"), col("dst").as("er_dst"),
+      col("w").as("er_w"))
+    val (res, rows) = runIndexed(spark, weightedEdges, attrs, q, cfg, state, "DFS(acc)")
+    (res, rows.map(r => (r.getSeq[Long](0), r.getAs[Number](1).doubleValue)))
   }
 
   /** Action-sequence constraint (Algorithm 8) on labeled edges
@@ -66,97 +61,31 @@ object Extensions {
   def automaton(spark: SparkSession, labeledEdges: DataFrame, q: HcQuery,
                 transitions: DataFrame, startState: Long, acceptStates: Set[Long],
                 cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Long)]) = {
-    val index = LightIndex.build(spark, labeledEdges.select("src", "dst"), q)
+    val st = col("st")
+    // A[a][l(e)]: each edge row carries the transitions on its label; the
+    // step keeps the one leaving the current state, and edges with none
+    // drop out (the appendix's `a' = null` skip).
+    val state = PathState(init = lit(startState), cond = col("tr_state") === st,
+      next = col("tr_next"), accept = st.isin(acceptStates.toSeq: _*), carry = lit(true))
+    val attrs = labeledEdges.select(col("src").as("er_src"), col("dst").as("er_dst"), col("lbl"))
+      .join(transitions.select(col("lbl"), col("state").as("tr_state"),
+        col("next").as("tr_next")), "lbl")
+    val (res, rows) = runIndexed(spark, labeledEdges, attrs, q, cfg, state, "DFS(dfa)")
+    (res, rows.map(r => (r.getSeq[Long](0), r.getAs[Number](1).longValue)))
+  }
+
+  /** Build the index of `q` on `graphEdges`, join its relation with the
+    * per-edge attributes `attrs` (keyed by `er_src`, `er_dst`) and run the
+    * left-deep loop with `state`. Returns the accepted `(path, st)` rows. */
+  private def runIndexed(spark: SparkSession, graphEdges: DataFrame, attrs: DataFrame,
+                         q: HcQuery, cfg: EnumConfig, state: PathState,
+                         plan: String): (PathEnumResult, Seq[Row]) = {
+    val index = LightIndex.build(spark, graphEdges.select("src", "dst"), q)
     try {
-      val rel = LeftDeepEnum.indexRelation(index)
-        .join(labeledEdges.select(col("src").as("er_src"), col("dst").as("er_dst"),
-          col("lbl").as("er_lbl")), Seq("er_src", "er_dst"))
-        // A[a][l(e)]: join the transition relation on the edge label; edges
-        // whose label has no transition from the current state drop out
-        // (the appendix's `a' = null` skip).
-        .join(transitions.select(col("lbl").as("er_lbl"), col("state").as("tr_state"),
-          col("next").as("tr_next")), Seq("er_lbl"))
-      val (res, paths) = statefulRunDfa(spark, rel, q, cfg, startState, acceptStates)
-      val typed = paths.map { case (p, st) => (p, st.toString.toLong) }
-      (PathEnumResult(res, PlanInfo("DFS(dfa)", -1, None, None, None),
-        index.buildMs, 0.0, index.edgeCount, index.memoryBytes), typed)
+      val rel = LeftDeepEnum.indexRelation(index).join(attrs, Seq("er_src", "er_dst"))
+      val (res, rows) = LeftDeepEnum.enumerate(spark, rel, q, cfg, Some(state))
+      (PathEnumResult(res, PlanInfo(plan, -1, None, None, None),
+        index.buildMs, 0.0, index.edgeCount, index.memoryBytes), rows)
     } finally index.unpersist()
-  }
-
-  /** Left-deep engine variant carrying one extra state column. */
-  private def statefulRun(spark: SparkSession, rel: DataFrame, q: HcQuery,
-                          cfg: EnumConfig, initState: Column,
-                          step: (Column, DataFrame) => Column,
-                          emit: (Column, DataFrame) => Column,
-                          carryFilter: Option[Column => Column] = None): (EnumResult, Seq[(Seq[Long], Any)]) = {
-    val t0 = System.nanoTime()
-    def elapsed: Double = (System.nanoTime() - t0) / 1e6
-    val persisted = ListBuffer.empty[DataFrame]
-    val out = ListBuffer.empty[(Seq[Long], Any)]
-    val perLevel = ListBuffer.empty[Long]
-    try {
-      var partial = spark.range(1)
-        .select(array(lit(q.s)).as("path"), lit(q.s).as("last"), initState.as("st"))
-      var rows = 1L
-      for (level <- 1 to q.k if rows > 0) {
-        val joined = partial.join(rel, col("last") === col("er_src"))
-        val kept = joined.where(col("er_dt") <= q.k - level &&
-            !array_contains(col("path"), col("er_dst")))
-          .select(concat(col("path"), array(col("er_dst"))).as("path"),
-            col("er_dst").as("last"), step(col("st"), joined).as("st"))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        persisted += kept
-        val done = kept.where(col("last") === q.t && emit(col("st"), joined))
-        val doneRows = done.collect().map(r => (r.getSeq[Long](0).toSeq, r.get(2)))
-        perLevel += doneRows.length.toLong
-        out ++= doneRows
-        if (level < q.k) {
-          val carried = kept.where(col("last") =!= q.t)
-          partial = carryFilter.fold(carried)(f => carried.where(f(col("st"))))
-          rows = partial.count()
-        } else rows = 0
-      }
-      (EnumResult(out.size, perLevel.toSeq, elapsed, Some(elapsed), timedOut = false,
-        0L, Some(out.map(_._1).toSeq)), out.toSeq)
-    } finally persisted.foreach(_.unpersist(blocking = false))
-  }
-
-  /** Left-deep engine variant driven by the DFA transition relation. */
-  private def statefulRunDfa(spark: SparkSession, rel: DataFrame, q: HcQuery,
-                             cfg: EnumConfig, startState: Long,
-                             acceptStates: Set[Long]): (EnumResult, Seq[(Seq[Long], Any)]) = {
-    val t0 = System.nanoTime()
-    def elapsed: Double = (System.nanoTime() - t0) / 1e6
-    val persisted = ListBuffer.empty[DataFrame]
-    val out = ListBuffer.empty[(Seq[Long], Any)]
-    val perLevel = ListBuffer.empty[Long]
-    try {
-      var partial = spark.range(1)
-        .select(array(lit(q.s)).as("path"), lit(q.s).as("last"), lit(startState).as("st"))
-      var rows = 1L
-      for (level <- 1 to q.k if rows > 0) {
-        // Transition: the rel join already expanded (state, label) pairs;
-        // keep rows whose transition matches the current automaton state.
-        val kept = partial.join(rel, col("last") === col("er_src"))
-          .where(col("er_dt") <= q.k - level &&
-            !array_contains(col("path"), col("er_dst")) &&
-            col("tr_state") === col("st"))
-          .select(concat(col("path"), array(col("er_dst"))).as("path"),
-            col("er_dst").as("last"), col("tr_next").as("st"))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        persisted += kept
-        val done = kept.where(col("last") === q.t &&
-          col("st").isin(acceptStates.toSeq: _*))
-        val doneRows = done.collect().map(r => (r.getSeq[Long](0).toSeq, r.get(2)))
-        perLevel += doneRows.length.toLong
-        out ++= doneRows
-        if (level < q.k) {
-          partial = kept.where(col("last") =!= q.t)
-          rows = partial.count()
-        } else rows = 0
-      }
-      (EnumResult(out.size, perLevel.toSeq, elapsed, Some(elapsed), timedOut = false,
-        0L, Some(out.map(_._1).toSeq)), out.toSeq)
-    } finally persisted.foreach(_.unpersist(blocking = false))
   }
 }

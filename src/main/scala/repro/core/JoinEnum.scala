@@ -32,11 +32,11 @@ object JoinEnum {
         lit(0).cast("int").as("er_dt")))
 
   /** One half-expansion: extend `seed` (columns `path`, `last`) from global
-    * path position `fromPos` to `toPos` over a padded relation. Returns the
-    * persisted result, its row count, the peak materialized cell count and
-    * whether the row cap truncated a level (results become lower bounds, as
-    * under the paper's 120 s kill). Returns None only if the wall-clock
-    * budget expired.
+    * path position `fromPos` to `toPos` over a padded relation, one
+    * [[LeftDeepEnum.step]] per position. Returns the persisted result, its
+    * row count, the peak materialized cell count and whether the row cap
+    * truncated a level (results become lower bounds, as under the paper's
+    * 120 s kill). Returns None only if the wall-clock budget expired.
     */
   private def expandHalf(seed: DataFrame, fromPos: Int, toPos: Int, relPad: DataFrame,
                          q: HcQuery, persisted: ListBuffer[DataFrame],
@@ -48,19 +48,11 @@ object JoinEnum {
     var truncated = false
     for (p <- (fromPos + 1) to toPos) {
       if (deadline()) return None
-      val step = partial.join(relPad, col("last") === col("er_src"))
-        .where(col("er_dt") <= q.k - p &&
-          // pad steps (src = t) are always legal; real steps need simplicity
-          (col("er_src") === q.t || !array_contains(col("path"), col("er_dst"))))
-        .select(concat(col("path"), array(col("er_dst"))).as("path"),
-                col("er_dst").as("last"))
-        .limit(maxRows)
-        .persist(StorageLevel.MEMORY_AND_DISK)
-      persisted += step
-      rows = step.count()
+      partial = LeftDeepEnum.step(partial, relPad, q, p, maxRows)
+      persisted += partial
+      rows = partial.count()
       if (rows >= maxRows) truncated = true
       peak = math.max(peak, rows * (p - fromPos + 1))
-      partial = step
       if (rows == 0) return Some((partial, 0L, peak, truncated))
     }
     Some((partial, rows, peak, truncated))

@@ -21,7 +21,8 @@ import repro.graph.{Bfs, GraphGen}
   *   - `srcDs + dstDt + 1 <= k`    (the H-table neighbor condition),
   *   - `src != t`                  (enumeration never expands past t).
   *
-  * The paper's lookups map to predicate pushdowns:
+  * The paper's lookups map to predicate pushdowns, which the callers
+  * ([[LeftDeepEnum.step]], [[Estimator]]) apply inline:
   *   - `I(i)`      = `vertices.where(ds <= i && dt <= k - i)`  (C_i),
   *   - `I_t(v, b)` = `edges.where(src = v && dstDt <= b)` — the dt-sorted
   *     `Neighbors`/`Offset` arrays of the paper are exactly this filter.
@@ -36,18 +37,6 @@ final case class LightIndex(
     buildMs: Double,
     edgeCount: Long,
     vertexCount: Long) {
-
-  /** C_i — vertices that can appear at position i of a result (Prop. 4.3). */
-  def cSet(i: Int): DataFrame =
-    vertices.where(col("ds") <= i && col("dt") <= query.k - i)
-
-  /** I_t(v, b) — neighbors v' of v with dt(v') <= b. */
-  def iT(v: Long, b: Int): DataFrame =
-    edges.where(col("src") === v && col("dstDt") <= b).select("dst")
-
-  /** I_s(v, b) — in-neighbors v' of v with ds(v') <= b. */
-  def iS(v: Long, b: Int): DataFrame =
-    edges.where(col("dst") === v && col("srcDs") <= b).select("src")
 
   /** Index memory in the sense of Table 7: materialized cells x 8 bytes
     * (6 longs per indexed edge + 3 per vertex-stat row). */

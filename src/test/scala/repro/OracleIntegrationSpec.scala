@@ -58,16 +58,4 @@ class OracleIntegrationSpec extends ReproSpec {
     val got = r.enum.paths.get.map(_.mkString(">")).toDF("path")
     Oracle.assertEquivalent(got, duckSql(1L, 2L, 4), "edges" -> edges)
   }
-
-  test("oracle smoke test on provided TPC-H-lite generator") {
-    import org.apache.spark.sql.functions._
-    val li = SynthData.lineitem(spark, sf = 0.0005)
-    val agg = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum(col("l_quantity")), 2).as("qty"))
-    Oracle.assertEquivalent(agg,
-      """SELECT l_returnflag, count(*) AS cnt,
-        |       round(sum(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
-  }
 }

@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
-import repro.{RefGraph, ReproSpec}
+import repro.{RefGraph, ReproSpec, TestGraphs}
 
 class ExtensionsSpec extends ReproSpec {
 
@@ -17,6 +17,15 @@ class ExtensionsSpec extends ReproSpec {
   private def labeled = {
     import spark.implicits._
     wPairs.map(e => (e._1, e._2, e._4)).toDF("src", "dst", "lbl")
+  }
+
+  private def unitWeights(pairs: Seq[(Long, Long)]) = {
+    import spark.implicits._
+    pairs.map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "w")
+  }
+  private def oneLabel(pairs: Seq[(Long, Long)]) = {
+    import spark.implicits._
+    pairs.map { case (a, b) => (a, b, 1L) }.toDF("src", "dst", "lbl")
   }
 
   test("predicate constraint filters edges before index build") {
@@ -90,5 +99,40 @@ class ExtensionsSpec extends ReproSpec {
       startState = 0L, acceptStates = Set(1L), EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
     // 1->4 has lbl 2, then 4->2 lbl 2: path (1,4,2) qualifies
     assert(got.map(_._1).toSet == Set(Seq(1L, 4L, 2L)))
+  }
+
+  test("accumulative run honours the row cap and the time budget") {
+    for (cfg <- Seq(EnumConfig(timeBudgetMs = 300000L, maxLevelRows = 1),
+                    EnumConfig(timeBudgetMs = 0L))) {
+      val (r, _) = Extensions.accumulative(spark, unitWeights(TestGraphs.layered),
+        HcQuery(1L, 2L, 4), init = 0.0, op = _ + _, accepts = _ => lit(true), cfg = cfg)
+      assert(r.enum.timedOut, s"not marked timed out under $cfg")
+    }
+  }
+
+  // Accept-all constraints must not change the result set; random graphs
+  // have cycles on s-t walks, so this exercises the simple-path check.
+  for ((name, pairs) <- TestGraphs.randomCases(5)) {
+    val q = HcQuery(1L, 2L, 4)
+    val cfg = EnumConfig(timeBudgetMs = 300000L) // paths returned without collectPaths
+    lazy val want = RefGraph.Ref(pairs).paths(1L, 2L, 4)
+
+    test(s"accept-all accumulative equals reference on $name") {
+      val (r, got) = Extensions.accumulative(spark, unitWeights(pairs), q,
+        init = 0.0, op = _ + _, accepts = _ => lit(true), cfg = cfg)
+      assert(got.size == want.size && got.map(_._1.toList).toSet == want)
+      for ((p, acc) <- got) assert(acc == p.size - 1, s"path $p")
+      assert(r.enum.results == want.size)
+    }
+
+    test(s"one-state accept-all automaton equals reference on $name") {
+      import spark.implicits._
+      val dfa = Seq((0L, 1L, 0L)).toDF("state", "lbl", "next")
+      val (r, got) = Extensions.automaton(spark, oneLabel(pairs), q, dfa,
+        startState = 0L, acceptStates = Set(0L), cfg)
+      assert(got.size == want.size && got.map(_._1.toList).toSet == want)
+      assert(got.forall(_._2 == 0L))
+      assert(r.enum.results == want.size)
+    }
   }
 }

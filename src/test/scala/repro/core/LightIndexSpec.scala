@@ -42,6 +42,12 @@ class LightIndexSpec extends ReproSpec {
         assert(srcDs + srcDt <= q.k && dstDs + dstDt <= q.k && srcDs + dstDt + 1 <= q.k)
         assert(src != q.t)
       }
+      // The vertex table is X = {v : ds + dt <= k}, so C_0 = {s} and t is
+      // in C_k (Prop. 4.3).
+      val wantVerts = dS.keySet.intersect(dT.keySet)
+        .collect { case v if dS(v) + dT(v) <= q.k => (v, dS(v), dT(v)) }
+      assert(idx.vertices.collect()
+        .map(r => (r.getAs[Long]("v"), r.getAs[Int]("ds"), r.getAs[Int]("dt"))).toSet == wantVerts)
     } finally idx.unpersist()
   }
 
@@ -49,26 +55,6 @@ class LightIndexSpec extends ReproSpec {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
     try assert(idx.edgeCount <= TestGraphs.figure1.size)
     finally idx.unpersist()
-  }
-
-  test("cSet(0) is {s} and cSet(k) contains t when reachable") {
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
-    try {
-      assert(idx.cSet(0).collect().map(_.getLong(0)).toSet == Set(1L))
-      assert(idx.cSet(4).collect().map(_.getLong(0)).toSet.contains(2L))
-    } finally idx.unpersist()
-  }
-
-  test("iT returns dt-bounded neighbors (Example 4.4 semantics)") {
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    try {
-      // neighbors of v0=3 with dt <= 2: t (dt 0) and v1=4 (dt 2); cycle 6 has dt 1... compute via ref
-      val ref = RefGraph.Ref(TestGraphs.figure1)
-      val dT = ref.dt(1L, 2L, 4)
-      val want = ref.indexEdges(1L, 2L, 4)
-        .collect { case (3L, v) if dT(v) <= 2 => v }.toSet
-      assert(idx.iT(3L, 2).collect().map(_.getLong(0)).toSet == want)
-    } finally idx.unpersist()
   }
 
   test("memoryBytes counts edge and vertex cells") {
