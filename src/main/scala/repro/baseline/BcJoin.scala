@@ -9,20 +9,17 @@ import repro.core.{EnumConfig, HcQuery, JoinEnum, PathEnumResult, PlanInfo}
   * paths from `s` to the middle vertices and from the middle vertices to
   * `t` with the DFS procedure over the full graph (same `B(v)` check as
   * BC-DFS, no light-weight index, no cost-based cut), then hash-joins the
-  * halves. Reuses [[JoinEnum]] with the BC edge relation, so the only
-  * differences from IDX-JOIN are the ones the paper credits: the reduced
-  * edge set and the optimized cut position.
+  * halves. Reuses [[JoinEnum]] with the collected BC edge relation, so the
+  * only differences from IDX-JOIN are the ones the paper credits: the
+  * reduced edge set and the optimized cut position.
   */
 object BcJoin {
 
   def run(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
           cfg: EnumConfig = EnumConfig()): PathEnumResult = {
-    val (rel, prepMs) = BcDfs.relation(spark, graphEdges, q)
-    try {
-      val cut = math.min(q.k - 1, math.max(1, math.ceil(q.k / 2.0).toInt))
-      val res = JoinEnum.run(spark, rel, q, cut, cfg)
-      PathEnumResult(res, PlanInfo("BC-JOIN", -1, Some(cut), None, None),
-        prepMs, 0.0, -1, -1)
-    } finally rel.unpersist(blocking = false)
+    val (g, prepMs) = BcDfs.collected(spark, graphEdges, q)
+    val cut = math.min(q.k - 1, math.max(1, math.ceil(q.k / 2.0).toInt))
+    PathEnumResult(JoinEnum.search(g, q, cut, cfg), PlanInfo("BC-JOIN", -1, Some(cut), None, None),
+      prepMs, 0.0, -1, -1)
   }
 }

@@ -38,9 +38,6 @@ object Runner {
       case "PathEnum" => PathEnum.run(spark, edges, q, cfg)
       case other      => sys.error(s"unknown algorithm $other")
     }
-    if (sys.env.contains("REPRO_DEBUG")) Console.err.println(
-      f"[runner] $algo prep=${r.indexBuildMs}%.0f opt=${r.optimizeMs}%.0f " +
-      f"enum=${r.enum.elapsedMs}%.0f ms")
     QueryMetrics(algo, graphName, q.k, q.s, q.t,
       r.queryTimeMs, r.enum.results,
       // Throughput over the full query time (prep included), as in the paper.

@@ -1,9 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
-import scala.collection.mutable.ListBuffer
+import org.apache.spark.sql.SparkSession
 
 /** Cost-model cardinalities computed by the full-fledged estimator
   * (Algorithm 5). All counts are **walk** counts over the padded join model,
@@ -33,14 +30,15 @@ final case class DpEstimate(forward: Seq[Long], backward: Seq[Long], optMs: Doub
   }
 }
 
-/** The two-phase cardinality estimation of Section 6.2.
+/** The two-phase cardinality estimation of Section 6.2, on the driver over
+  * the index as collected by [[LightIndex.build]] (`index.local`).
   *
-  * The preliminary estimator needs only `(ds, dt)` histograms of the index —
-  * two small aggregations — and costs O(k^2) on the driver (Eq. 5). The
-  * full-fledged estimator is a dynamic program over the index realized as k
-  * rounds of aggregate-joins in each direction; because the index is exact
-  * for the query, its level sums are *exact padded-walk counts* (the tests
-  * check `forward(k) == backward(0)` and both against a reference counter).
+  * The preliminary estimator needs only the `(ds, dt)` of the index
+  * vertices and the `dt`-sorted slots, and costs O(k x |I|) (Eq. 5). The
+  * full-fledged estimator is the dynamic program of Alg. 5 over the same
+  * slots; because the index is exact for the query, its level sums are
+  * *exact padded-walk counts* (the tests check `forward(k) == backward(0)`
+  * and both against a reference counter). Sums overflowing a `Long` throw.
   */
 object Estimator {
 
@@ -50,81 +48,64 @@ object Estimator {
     */
   def preliminary(spark: SparkSession, index: LightIndex): Double = {
     val k = index.query.k
-    // Histograms over the (small) distance grid; (k+1)^3 rows at most.
-    val edgeHist = index.edges
-      .groupBy("srcDs", "srcDt", "dstDt").count()
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getInt(2), r.getLong(3)))
-    val vertHist = index.vertices
-      .groupBy("ds", "dt").count()
-      .collect()
-      .map(r => (r.getInt(0), r.getInt(1), r.getLong(2)))
-
+    val g = index.local
+    val (ds, dt) = index.localDistances
     val gamma = (0 until k).map { i =>
-      val ci = vertHist.collect { case (ds, dt, n) if ds <= i && dt <= k - i => n }.sum
-      val out = edgeHist.collect {
-        case (sds, sdt, ddt, n) if sds <= i && sdt <= k - i && ddt <= k - i - 1 => n
-      }.sum
+      val ci = index.dist.values.count { case (vs, vt) => vs <= i && vt <= k - i }
+      val out = g.ids.indices.filter(v => ds(v) <= i && dt(v) <= k - i)
+        .map(v => (g.first(v) until g.end(v)).count(e => g.dt(e) <= k - i - 1).toLong).sum
       if (ci == 0) 0.0 else out.toDouble / ci
     }
     (0 until k).map(i => (0 to i).map(gamma).product).sum
   }
 
   /** Full-fledged DP (Algorithm 5): per-level walk counts in both
-    * directions over the padded index. O(k x |I|) work as k rounds of
-    * aggregate-joins.
+    * directions over the padded index, O(k x |I|).
     */
   def full(spark: SparkSession, index: LightIndex): DpEstimate = {
     val t0 = System.nanoTime()
-    val q = index.query
-    val k = q.k
-    val persisted = ListBuffer.empty[DataFrame]
-    try {
-      // Padded relation: index edges plus (t,t); carry the distance columns
-      // needed for the I(i) membership filters. ds(t) comes from the stats.
-      val dsT = index.vertices.where(col("v") === q.t).select("ds")
-        .collect().headOption.map(_.getInt(0)).getOrElse(k + 1)
-      val rel = index.edges.select("src", "dst", "srcDs", "srcDt", "dstDt").union(
-        spark.range(1).select(lit(q.t).as("src"), lit(q.t).as("dst"),
-          lit(dsT).cast("int").as("srcDs"), lit(0).cast("int").as("srcDt"),
-          lit(0).cast("int").as("dstDt")))
+    val k = index.query.k
+    val g = index.local
+    val (ds, dt) = index.localDistances
+    val t = g.vertex(index.query.t)
 
-      // Backward: c_k^k(t) = 1; c_k^i(v) = Σ_{v' in I_t(v, k-i-1)} c_k^{i+1}(v').
-      val backward = new Array[Long](k + 1)
-      backward(k) = 1L
-      var prev = spark.range(1).select(lit(q.t).as("v"), lit(1L).as("cnt"))
-      for (i <- (k - 1) to 0 by -1) {
-        val cur = rel
-          .where(col("srcDs") <= i && col("srcDt") <= k - i && col("dstDt") <= k - i - 1)
-          .join(prev, col("dst") === col("v"))
-          .groupBy("src").agg(sum("cnt").as("cnt"))
-          .select(col("src").as("v"), col("cnt"))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        persisted += cur
-        backward(i) = Option(cur.agg(sum("cnt")).collect()(0).get(0))
-          .map(_.asInstanceOf[Long]).getOrElse(0L)
-        prev = cur
+    /** Calls `f(v, w)` for every hop `v -> w` into position `p + 1` of a
+      * padded walk: slots of `v in I(p)` within `I_t(v, k-p-1)`, plus the
+      * `(t,t)` padding. */
+    def hops(p: Int)(f: (Int, Int) => Unit): Unit =
+      for (v <- g.ids.indices if ds(v) <= p && dt(v) <= k - p) {
+        for (e <- g.first(v) until g.end(v) if g.dt(e) <= k - p - 1) f(v, g.dst(e))
+        if (v == t) f(t, t)
       }
+    def total(c: Array[Long]): Long = c.foldLeft(0L)(Math.addExact)
+    def seed(v: Int): Array[Long] = {
+      val c = new Array[Long](g.vertexCount)
+      if (v >= 0) c(v) = 1L
+      c
+    }
 
-      // Forward: c_0^0(s) = 1; walks from s reaching v at position i.
-      val forward = new Array[Long](k + 1)
-      forward(0) = 1L
-      prev = spark.range(1).select(lit(q.s).as("v"), lit(1L).as("cnt"))
-      for (i <- 1 to k) {
-        val cur = rel
-          .where(col("srcDs") <= i - 1 && col("srcDt") <= k - (i - 1) &&
-                 col("dstDt") <= k - i)
-          .join(prev, col("src") === col("v"))
-          .groupBy("dst").agg(sum("cnt").as("cnt"))
-          .select(col("dst").as("v"), col("cnt"))
-          .persist(StorageLevel.MEMORY_AND_DISK)
-        persisted += cur
-        forward(i) = Option(cur.agg(sum("cnt")).collect()(0).get(0))
-          .map(_.asInstanceOf[Long]).getOrElse(0L)
-        prev = cur
-      }
+    // Forward: c_0^0(s) = 1; walks from s reaching v at position i.
+    val forward = new Array[Long](k + 1)
+    forward(0) = 1L
+    var cnt = seed(g.vertex(index.query.s))
+    for (p <- 0 until k) {
+      val next = new Array[Long](g.vertexCount)
+      hops(p)((v, w) => next(w) = Math.addExact(next(w), cnt(v)))
+      forward(p + 1) = total(next)
+      cnt = next
+    }
 
-      DpEstimate(forward.toSeq, backward.toSeq, (System.nanoTime() - t0) / 1e6)
-    } finally persisted.foreach(_.unpersist(blocking = false))
+    // Backward: c_k^k(t) = 1; c_k^i(v) = Σ_{v' in I_t(v, k-i-1)} c_k^{i+1}(v').
+    val backward = new Array[Long](k + 1)
+    backward(k) = 1L
+    cnt = seed(t)
+    for (p <- (k - 1) to 0 by -1) {
+      val prev = new Array[Long](g.vertexCount)
+      hops(p)((v, w) => prev(v) = Math.addExact(prev(v), cnt(w)))
+      backward(p) = total(prev)
+      cnt = prev
+    }
+
+    DpEstimate(forward.toSeq, backward.toSeq, (System.nanoTime() - t0) / 1e6)
   }
 }

@@ -6,24 +6,30 @@ import org.apache.spark.sql.functions._
 /** Variant-constraint extensions (Appendix E).
   *
   * All three extensions reuse the index-based left-deep engine, exactly as
-  * the appendix extends Algorithm 4. The two stateful ones run the single
-  * level loop of [[LeftDeepEnum]] with a [[PathState]] — one column `st`
-  * per partial path — so they share its time budget, row cap and
-  * truncation flag:
+  * the appendix extends Algorithm 4. The two stateful ones run its one
+  * depth-first search ([[LeftDeepEnum.dfs]]) with one value per path, so
+  * they share its time budget, row cap and truncation flag:
   *
   *  - **Predicates** (`f_p(e)`): filter the edge list before index build —
   *    the index then only contains qualifying edges ("we can conduct the
   *    filtering when computing the distance ... in the index building
   *    phase"), so no enumeration change is needed.
-  *  - **Accumulative values** (Algorithm 7): `st` starts at `init` and
-  *    becomes `st ⊕ w(e)` at each step; a path is emitted when its final
-  *    value passes `f_a`. An optional monotone prune is the carry test: it
-  *    cuts partials that can no longer satisfy the constraint (legal only
-  *    when ⊕ is monotone, e.g. nonnegative-weight sums with an upper bound).
-  *  - **Action sequences** (Algorithm 8): `st` is a DFA state. The edge
-  *    relation is joined with the transition relation on the edge label;
-  *    a step needs `tr_state = st` and moves `st` to `tr_next`. A path is
-  *    emitted when it ends at `t` in an accepting state.
+  *  - **Accumulative values** (Algorithm 7): the value starts at `init` and
+  *    becomes `op(value, w(e))` at each hop; a path is emitted when its
+  *    final value passes `f_a`. An optional monotone prune is tested at
+  *    every other vertex: it cuts partials that can no longer satisfy the
+  *    constraint (legal only when ⊕ is monotone, e.g. nonnegative-weight
+  *    sums with an upper bound).
+  *  - **Action sequences** (Algorithm 8): the value is a state of a
+  *    deterministic automaton. A hop along an edge labelled `l` needs a
+  *    transition `(state, l, next)` and moves to `next` (the appendix's
+  *    `a' = null` skip otherwise). A path is emitted when it ends at `t`
+  *    in an accepting state.
+  *
+  * The edge relation keeps one entry per distinct `(src, dst, attribute)`:
+  * parallel edges with equal weight or label are one edge, and parallel
+  * edges with different weights or labels are distinct paths, as in a
+  * multigraph.
   */
 object Extensions {
 
@@ -39,21 +45,18 @@ object Extensions {
     *
     * @param init     initial accumulator (0 for sum, 1 for product, ...)
     * @param op       the ⊕ combine, e.g. `(acc, w) => acc + w`
-    * @param accepts  final filter `f_a` over the accumulated Column
+    * @param accepts  final filter `f_a` over the accumulated value
     * @param prune    optional partial-result prune (monotone ⊕ only)
     */
   def accumulative(spark: SparkSession, weightedEdges: DataFrame, q: HcQuery,
-                   init: Double, op: (Column, Column) => Column, accepts: Column => Column,
-                   prune: Option[Column => Column] = None,
-                   cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Double)]) = {
-    val st = col("st")
-    val state = PathState(init = lit(init), cond = lit(true), next = op(st, col("er_w")),
-      accept = accepts(st), carry = prune.fold(lit(true))(_(st)))
-    val attrs = weightedEdges.select(col("src").as("er_src"), col("dst").as("er_dst"),
-      col("w").as("er_w"))
-    val (res, rows) = runIndexed(spark, weightedEdges, attrs, q, cfg, state, "DFS(acc)")
-    (res, rows.map(r => (r.getSeq[Long](0), r.getAs[Number](1).doubleValue)))
-  }
+                   init: Double, op: (Double, Double) => Double, accepts: Double => Boolean,
+                   prune: Option[Double => Boolean] = None,
+                   cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Double)]) =
+    runIndexed(spark, weightedEdges, col("w").cast("double"), _.getDouble(3), q, cfg, "DFS(acc)",
+      init, accepts) { g =>
+      val t = g.vertex(q.t)
+      (acc, e) => Some(op(acc, g.attr(e))).filter(v => g.dst(e) == t || prune.forall(_(v)))
+    }(Ordering.Double.TotalOrdering)
 
   /** Action-sequence constraint (Algorithm 8) on labeled edges
     * `(src, dst, lbl)` with DFA transitions `(state, lbl, next)` and a set
@@ -61,31 +64,32 @@ object Extensions {
   def automaton(spark: SparkSession, labeledEdges: DataFrame, q: HcQuery,
                 transitions: DataFrame, startState: Long, acceptStates: Set[Long],
                 cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Long)]) = {
-    val st = col("st")
-    // A[a][l(e)]: each edge row carries the transitions on its label; the
-    // step keeps the one leaving the current state, and edges with none
-    // drop out (the appendix's `a' = null` skip).
-    val state = PathState(init = lit(startState), cond = col("tr_state") === st,
-      next = col("tr_next"), accept = st.isin(acceptStates.toSeq: _*), carry = lit(true))
-    val attrs = labeledEdges.select(col("src").as("er_src"), col("dst").as("er_dst"), col("lbl"))
-      .join(transitions.select(col("lbl"), col("state").as("tr_state"),
-        col("next").as("tr_next")), "lbl")
-    val (res, rows) = runIndexed(spark, labeledEdges, attrs, q, cfg, state, "DFS(dfa)")
-    (res, rows.map(r => (r.getSeq[Long](0), r.getAs[Number](1).longValue)))
+    val rows = transitions.select(col("state").cast("long"), col("lbl").cast("long"),
+      col("next").cast("long")).collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2))
+    val delta = rows.toMap
+    require(delta.size == rows.distinct.length, "transitions must be deterministic")
+    runIndexed(spark, labeledEdges, col("lbl").cast("long"), _.getLong(3), q, cfg, "DFS(dfa)",
+      startState, acceptStates) { g =>
+      (state, e) => delta.get((state, g.attr(e)))
+    }
   }
 
   /** Build the index of `q` on `graphEdges`, join its relation with the
-    * per-edge attributes `attrs` (keyed by `er_src`, `er_dst`) and run the
-    * left-deep loop with `state`. Returns the accepted `(path, st)` rows. */
-  private def runIndexed(spark: SparkSession, graphEdges: DataFrame, attrs: DataFrame,
-                         q: HcQuery, cfg: EnumConfig, state: PathState,
-                         plan: String): (PathEnumResult, Seq[Row]) = {
+    * per-edge attribute `attr` of `graphEdges`, collect it and run the
+    * search from `init` with the hop test `next(g)`. Returns the accepted
+    * paths with their final values. */
+  private def runIndexed[A: Ordering, S](spark: SparkSession, graphEdges: DataFrame, attr: Column,
+                                         get: Row => A, q: HcQuery, cfg: EnumConfig, plan: String,
+                                         init: S, accept: S => Boolean)(
+                                         next: Adjacency[A] => LeftDeepEnum.Hop[S]
+                                        ): (PathEnumResult, Seq[(Seq[Long], S)]) = {
     val index = LightIndex.build(spark, graphEdges.select("src", "dst"), q)
     try {
-      val rel = LeftDeepEnum.indexRelation(index).join(attrs, Seq("er_src", "er_dst"))
-      val (res, rows) = LeftDeepEnum.enumerate(spark, rel, q, cfg, Some(state))
-      (PathEnumResult(res, PlanInfo(plan, -1, None, None, None),
-        index.buildMs, 0.0, index.edgeCount, index.memoryBytes), rows)
+      val attrs = graphEdges.select(col("src").as("er_src"), col("dst").as("er_dst"), attr)
+      val rows = LeftDeepEnum.indexRelation(index).join(attrs, Seq("er_src", "er_dst")).collect()
+      val g = Adjacency(rows.toSeq.map(r => (r.getLong(0), r.getLong(1), r.getInt(2), get(r))))
+      val (res, found) = LeftDeepEnum.searchWith(g, q, cfg, init, next(g), accept, keep = true)
+      (PathEnum.result(index, res, PlanInfo(plan, -1, None, None, None), 0.0), found)
     } finally index.unpersist()
   }
 }

@@ -10,19 +10,20 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
 
 /** Runtime knobs for one enumeration run.
   *
-  * @param timeBudgetMs  wall-clock cap, checked between expansion levels
-  *                      (the paper caps each query at 120 s; benches scale
-  *                      this down).
+  * @param timeBudgetMs  wall-clock cap on enumeration, checked at every
+  *                      search node (the paper caps each query at 120 s;
+  *                      benches scale this down).
   * @param responseTarget #results after which "response time" is recorded
   *                      (the paper uses the first 1000 results).
   * @param collectPaths  materialize the result paths on the driver (tests);
   *                      benches leave this off and use counts only.
-  * @param maxLevelRows  per-level row cap: a level is materialized through
-  *                      `limit(maxLevelRows)`, so a single exploding join
-  *                      cannot run unbounded (the wall-clock budget is only
-  *                      checked between levels). Hitting the cap marks the
-  *                      run timed out / truncated, like the paper's 120 s
-  *                      kill. Env default: REPRO_MAX_LEVEL_ROWS.
+  * @param maxLevelRows  row cap: bounds the emitted results and each
+  *                      materialized half of a JOIN plan. The search stops
+  *                      when it is reached, so the results are a
+  *                      deterministic DFS-order prefix. Hitting the cap
+  *                      marks the run timed out / truncated, like the
+  *                      paper's 120 s kill. Env default:
+  *                      REPRO_MAX_LEVEL_ROWS.
   */
 final case class EnumConfig(
     timeBudgetMs: Long = 10000L,
@@ -38,13 +39,19 @@ object EnumConfig {
 /** Outcome of one enumeration run.
   *
   * @param results    number of paths found (within the budget if `timedOut`)
-  * @param perLevel   paths found per length (index i = paths with i edges)
+  * @param perLevel   paths found per length (index i = paths with i + 1
+  *                   edges); empty for JOIN plans
   * @param elapsedMs  total enumeration wall time
-  * @param responseMs elapsed time when `responseTarget` cumulative results
-  *                   existed (None if the run produced fewer and timed out)
-  * @param timedOut   true if the budget expired before exhaustion
+  * @param responseMs elapsed time when the DFS emitted its `responseTarget`-th
+  *                   result (the run's end if it found fewer and finished;
+  *                   None if it found fewer and was cut off, and for JOIN)
+  * @param timedOut   true if the budget expired or the row cap was reached
+  *                   before exhaustion (counts are then lower bounds)
   * @param peakPartialCells  max #cells (rows x path length) of materialized
-  *                   partial results — the paper's Table 7 "partial results"
+  *                   partial results — the paper's Table 7 "partial results":
+  *                   the longest path for DFS, which holds only its current
+  *                   path (the paper's O(k) point); the widest levels of
+  *                   both halves for JOIN
   * @param paths      driver-collected result paths if requested
   */
 final case class EnumResult(

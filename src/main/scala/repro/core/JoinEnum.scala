@@ -1,119 +1,92 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
-import scala.collection.mutable.ListBuffer
+import scala.collection.mutable.ArrayBuffer
 
-/** Bushy (join-shaped) enumeration engine — Algorithm 6 as two expansions
-  * plus a hash join.
+/** Bushy (join-shaped) enumeration engine — Algorithm 6 as two half-searches
+  * plus a hash join, over an [[Adjacency]] collected on the driver.
   *
   * The query is cut at position `cut` (the optimizer's `i*`): `Q[0:cut]` is
-  * evaluated as a forward expansion from `s` of exactly `cut` hops and
-  * `Q[cut:k]` as an expansion from the cut vertices of exactly `k - cut`
-  * hops, both over the edge relation augmented with the `(t,t)` padding
-  * self-loop of the join model (Section 3.1) so paths shorter than `k`
-  * survive the fixed-length join. The halves are then hash-joined on the
-  * cut vertex; trailing t-padding is stripped and tuples that are not
-  * simple paths are dropped (the paper performs the same validity check
-  * "when performing the join operation").
+  * the set of partial paths from `s` of exactly `cut` hops and `Q[cut:k]`
+  * the set of paths from each cut vertex to `t` within the remaining
+  * `k - cut` hops, both found by [[LeftDeepEnum.dfs]]. A path that reaches
+  * `t` early stands for its `(t,t)` padding to the fixed length of the join
+  * model (Section 3.1). The halves are hash-joined on the cut vertex and
+  * tuples that are not simple paths are dropped (the paper performs the
+  * same validity check "when performing the join operation").
   *
-  * Per-half duplicate-vertex checks run during expansion (cheap, prunes
-  * walks early); duplicates *across* the halves can only be caught after
-  * the join, exactly as in the paper.
+  * Per-half duplicate-vertex checks run during the searches (cheap, prunes
+  * walks early); duplicates *across* the halves can only be caught at the
+  * join, exactly as in the paper. The row cap bounds each materialized half
+  * and the joined results; the time budget is checked at every search node
+  * and before each left-half row is joined.
   */
 object JoinEnum {
 
-  /** Add the `(t,t)` padding self-loop (with `dt = 0`) to an edge relation
-    * of columns `er_src`, `er_dst`, `er_dt` that has no `src = t` rows. */
-  def pad(spark: SparkSession, edgeRel: DataFrame, t: Long): DataFrame =
-    edgeRel.union(
-      spark.range(1).select(lit(t).as("er_src"), lit(t).as("er_dst"),
-        lit(0).cast("int").as("er_dt")))
-
-  /** One half-expansion: extend `seed` (columns `path`, `last`) from global
-    * path position `fromPos` to `toPos` over a padded relation, one
-    * [[LeftDeepEnum.step]] per position. Returns the persisted result, its
-    * row count, the peak materialized cell count and whether the row cap
-    * truncated a level (results become lower bounds, as under the paper's
-    * 120 s kill). Returns None only if the wall-clock budget expired.
-    */
-  private def expandHalf(seed: DataFrame, fromPos: Int, toPos: Int, relPad: DataFrame,
-                         q: HcQuery, persisted: ListBuffer[DataFrame],
-                         deadline: () => Boolean,
-                         maxRows: Int): Option[(DataFrame, Long, Long, Boolean)] = {
-    var partial = seed
-    var rows = -1L
-    var peak = 0L
-    var truncated = false
-    for (p <- (fromPos + 1) to toPos) {
-      if (deadline()) return None
-      partial = LeftDeepEnum.step(partial, relPad, q, p, maxRows)
-      persisted += partial
-      rows = partial.count()
-      if (rows >= maxRows) truncated = true
-      peak = math.max(peak, rows * (p - fromPos + 1))
-      if (rows == 0) return Some((partial, 0L, peak, truncated))
-    }
-    Some((partial, rows, peak, truncated))
-  }
-
   /** Expected columns of `edgeRel`: `er_src`, `er_dst`, `er_dt` (no rows
-    * with `er_src = t`). `cut` must be in `1 .. k-1`. */
+    * with `er_src = t`). `cut` must be in `1 .. k-1`. Collects the relation
+    * once, then runs [[search]]. */
   def run(spark: SparkSession, edgeRel: DataFrame, q: HcQuery, cut: Int,
-          cfg: EnumConfig = EnumConfig()): EnumResult = {
+          cfg: EnumConfig = EnumConfig()): EnumResult =
+    search(Adjacency.collect(edgeRel), q, cut, cfg)
+
+  /** IDX-JOIN / BC-JOIN over a collected relation. */
+  def search(g: Adjacency[_], q: HcQuery, cut: Int, cfg: EnumConfig): EnumResult = {
     require(cut >= 1 && cut < q.k, s"cut must be in [1, k-1], got $cut")
     val t0 = System.nanoTime()
     def elapsedMs: Double = (System.nanoTime() - t0) / 1e6
-    def overBudget(): Boolean = elapsedMs > cfg.timeBudgetMs
+    val expired = () => elapsedMs >= cfg.timeBudgetMs
+    val t = g.vertex(q.t)
+    val start = g.vertex(q.s)
+    var truncated = false
 
-    val persisted = ListBuffer.empty[DataFrame]
-    try {
-      val relPad = pad(spark, edgeRel, q.t)
-      val seedA = spark.range(1).select(array(lit(q.s)).as("path"), lit(q.s).as("last"))
-
-      expandHalf(seedA, 0, cut, relPad, q, persisted, overBudget _, cfg.maxLevelRows) match {
-        case None =>
-          EnumResult(0L, Seq.empty, elapsedMs, None, timedOut = true, 0L, None)
-        case Some((ra, nRa, peakA, truncA)) =>
-          if (nRa == 0)
-            return EnumResult(0L, Seq.empty, elapsedMs, Some(elapsedMs), timedOut = truncA,
-              peakA, if (cfg.collectPaths) Some(Seq.empty) else None)
-          val cellsA = nRa * (cut + 1)
-          // Seeds for Q[cut:k]: the distinct cut vertices (Alg. 6 line 3).
-          val seedB = ra.select(col("last")).distinct()
-            .select(array(col("last")).as("path"), col("last"))
-          expandHalf(seedB, cut, q.k, relPad, q, persisted, overBudget _, cfg.maxLevelRows) match {
-            case None =>
-              EnumResult(0L, Seq.empty, elapsedMs, None, timedOut = true,
-                cellsA + peakA, None)
-            case Some((rbAll, _, peakB, truncB)) =>
-              val rb = rbAll.where(col("last") === q.t)
-                .select(col("path").as("bpath"))
-                .persist(StorageLevel.MEMORY_AND_DISK)
-              persisted += rb
-              val nRb = rb.count()
-              val cells = cellsA + math.max(nRb * (q.k - cut + 1), peakB)
-              // Hash join on the cut vertex, strip padding, keep simple paths.
-              val joined = ra.join(rb, col("last") === element_at(col("bpath"), 1))
-                .select(concat(col("path"), slice(col("bpath"), 2, q.k - cut)).as("full"))
-                .select(slice(col("full"), lit(1),
-                  array_position(col("full"), q.t).cast("int")).as("path"))
-                .where(size(array_distinct(col("path"))) === size(col("path")))
-                .limit(cfg.maxLevelRows) // final join can explode too
-                .persist(StorageLevel.MEMORY_AND_DISK)
-              persisted += joined
-              val n = joined.count()
-              val truncated = n >= cfg.maxLevelRows
-              val paths =
-                if (cfg.collectPaths) Some(joined.collect().toSeq.map(_.getSeq[Long](0).toSeq))
-                else None
-              // The paper reports no response time for join-based methods
-              // (results only exist after the final join) — mirror that.
-              EnumResult(n, Seq.empty, elapsedMs, None,
-                overBudget() || truncated || truncA || truncB, cells, paths)
-          }
+    /** Appends to `out` the paths of the half `Q[from:to]` from `v` that
+      * reach t, or any that end at `to` if `open`; `nodes(d)` counts its
+      * partial results of `d + 1` vertices, t-padding included. */
+    def half(v: Int, from: Int, to: Int, open: Boolean, nodes: Array[Long],
+             out: ArrayBuffer[Array[Int]]): Unit =
+      truncated |= !LeftDeepEnum.dfs(g, t, q.k, v, from, to, (), LeftDeepEnum.free, expired,
+        nodes) { (path, d, _) =>
+        if (path(d) == t) for (j <- d + 1 to to - from) nodes(j) += 1
+        if (path(d) == t || open) out += java.util.Arrays.copyOf(path, d + 1)
+        out.size < cfg.maxLevelRows
       }
-    } finally persisted.foreach(_.unpersist(blocking = false))
+    def peak(nodes: Array[Long]): Long = (1 until nodes.length).map(d => nodes(d) * (d + 1)).max
+
+    val nodesA = new Array[Long](cut + 1)
+    val as = ArrayBuffer.empty[Array[Int]]
+    if (start >= 0) half(start, 0, cut, open = true, nodesA, as)
+    // Q[cut:k] from the distinct cut vertices (Alg. 6 line 3), hashed on them.
+    val nodesB = new Array[Long](q.k - cut + 1)
+    val bs = ArrayBuffer.empty[Array[Int]]
+    val byCut = as.map(_.last).distinct.map { c =>
+      val first = bs.size
+      half(c, cut, q.k, open = false, nodesB, bs)
+      c -> bs.slice(first, bs.size)
+    }.toMap
+
+    val onA = new Array[Boolean](g.vertexCount)
+    val found = ArrayBuffer.empty[Seq[Long]]
+    var n = 0L
+    var stop = false
+    val rows = as.iterator
+    while (!stop && rows.hasNext) {
+      val a = rows.next()
+      stop = expired()
+      a.foreach(onA(_) = true)
+      for (b <- byCut.getOrElse(a.last, Nil) if !stop && (1 until b.length).forall(i => !onA(b(i)))) {
+        n += 1
+        if (cfg.collectPaths) found += (a ++ b.drop(1)).map(g.ids(_)).toSeq
+        stop = n >= cfg.maxLevelRows
+      }
+      a.foreach(onA(_) = false)
+    }
+    // Partial results per level of each half (Table 7): Q[0:cut], held for
+    // the join, plus the widest level of Q[cut:k].
+    val cells = if (as.isEmpty) peak(nodesA) else as.size.toLong * (cut + 1) + peak(nodesB)
+    // The paper reports no response time for join-based methods (results
+    // only exist after the final join) — mirror that.
+    EnumResult(n, Seq.empty, elapsedMs, None, truncated || stop, cells,
+      if (cfg.collectPaths) Some(found.toSeq) else None)
   }
 }

@@ -1,138 +1,119 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import scala.collection.mutable.ListBuffer
 
-/** One extra value per partial path, carried in a column `st` — how
-  * Appendix E extends Algorithm 4 (Alg. 7 accumulates edge values, Alg. 8
-  * steps a label automaton). All fields are expressions over `col("st")`:
+/** Left-deep (DFS-shaped) enumeration engine — Algorithm 4 as a real
+  * depth-first search over an [[Adjacency]] collected on the driver.
   *
-  * @param init   the value of `st` on the seed path `[s]`
-  * @param cond   extra edge condition over the joined row (old `st`, `er_*`)
-  * @param next   the new `st` over the joined row
-  * @param accept keeps a row that reached `t` (sees the new `st`)
-  * @param carry  keeps a row that has not reached `t` (sees the new `st`)
-  */
-final case class PathState(init: Column, cond: Column, next: Column, accept: Column,
-                           carry: Column)
-
-/** Left-deep (DFS-shaped) enumeration engine — Algorithm 4 as a chain of
-  * joins over an edge relation.
+  * [[dfs]] is the only search routine in the program. From a partial path
+  * ending at position `pos - 1` it follows the slots of the last vertex
+  * with `dt <= k - pos` (the paper's `I_t(v, k - L(M) - 1)` prefix) whose
+  * target is not on the path (Alg. 4 line 7), and it holds only the
+  * current path. The relation decides the algorithm:
+  *   - IDX-DFS: the pruned [[LightIndex]] edges (`dt` = indexed dt),
+  *   - BC-DFS : the full edge list with `dt` = BFS distance-to-t over the
+  *     whole graph (Algorithm 1's `B(v)` check) — see [[repro.baseline.BcDfs]],
+  *   - both halves of [[JoinEnum]], and the Appendix E variants with one
+  *     value per path — see [[Extensions]].
   *
-  * The engine expands a partial-path DataFrame `(path: array<long>, last)`
-  * one hop per level with [[step]]: level `i` joins partials of length `i-1`
-  * with the edge relation, applies the hop-budget filter `dstDt <= k - i`
-  * (the paper's `I_t(v, k - L(M) - 1)` lookup) and the simple-path check
-  * `dst not in path` (Alg. 4 line 7), emits completed paths (`dst == t`) and
-  * carries the rest forward. The result *set* equals the paper's DFS; only
-  * emission order differs (level-synchronous vs depth-first).
-  *
-  * The edge relation decides the algorithm:
-  *   - IDX-DFS: the pruned [[LightIndex]] edges (`er_dt` = indexed dt),
-  *   - BC-DFS : the full edge list with `er_dt` = BFS distance-to-t over the
-  *     whole graph (Algorithm 1's `B(v')` check) — see [[repro.baseline.BcDfs]],
-  *   - the Appendix E variants: index edges joined with edge attributes,
-  *     plus a [[PathState]] — see [[Extensions]].
-  *
-  * The wall-clock budget is checked between levels; a timed-out run reports
-  * the results found so far (the paper's 120 s protocol, scaled).
+  * The time budget is checked at every search node and the row cap bounds
+  * the emitted results, so a cut-off run returns a deterministic DFS-order
+  * prefix of the results (the paper's 120 s protocol, scaled).
   */
 object LeftDeepEnum {
 
-  /** The level step shared by every enumerator: extend partials
-    * `(path, last[, st])` ending at path position `pos - 1` by one hop over
-    * `edgeRel`, keeping rows with `er_dt <= k - pos` whose path stays simple.
-    * Steps out of `t` are the `(t,t)` padding of [[JoinEnum]] and always
-    * legal; relations without `src = t` rows never produce them. With a
-    * `state`, its condition, next value and accept / carry tests apply
-    * before the row cap. Returns the capped, persisted level.
+  /** A hop test: the path value after a hop from value `st` along slot
+    * `e`, or None to forbid the hop. (A trait rather than a function type,
+    * so that the slot is passed unboxed at every edge scanned.) */
+  private[core] trait Hop[S] { def apply(st: S, e: Int): Option[S] }
+
+  /** The hop test of the plain engines: every hop allowed, no path value. */
+  private val anyHop = Some(())
+  private[core] val free: Hop[Unit] = (_, _) => anyHop
+
+  /** Depth-first search over `g` from vertex number `start` at path position
+    * `from` to position `to` (both ends included). A hop along slot `e` to a
+    * target off the path must pass the `dt` bound and `next(st, e)`. The search
+    * does not descend past `t` or position `to`; there it calls
+    * `visit(path, depth, st)`, with the vertex numbers of the path in
+    * `path(0..depth)` (valid during the call only). `nodes(depth)` counts
+    * the nodes entered. Returns false if `expired()` held at a node or
+    * `visit` returned false, which stop the search.
     */
-  private[core] def step(partial: DataFrame, edgeRel: DataFrame, q: HcQuery, pos: Int,
-                         maxRows: Int, state: Option[PathState] = None): DataFrame = {
-    val joined = partial.join(edgeRel, col("last") === col("er_src"))
-      .where(col("er_dt") <= q.k - pos &&
-        (col("er_src") === q.t || !array_contains(col("path"), col("er_dst"))))
-    val extended = Seq(concat(col("path"), array(col("er_dst"))).as("path"),
-                       col("er_dst").as("last"))
-    val level = state match {
-      case None => joined.select(extended: _*)
-      case Some(st) =>
-        joined.where(st.cond).select(extended :+ st.next.as("st"): _*)
-          .where(when(col("last") === q.t, st.accept).otherwise(st.carry))
+  private[core] def dfs[S](g: Adjacency[_], t: Int, k: Int, start: Int, from: Int, to: Int,
+                           init: S, next: Hop[S], expired: () => Boolean,
+                           nodes: Array[Long])(visit: (Array[Int], Int, S) => Boolean): Boolean = {
+    val path = new Array[Int](to - from + 1)
+    val onPath = new Array[Boolean](g.vertexCount)
+    def go(d: Int, st: S): Boolean = {
+      if (expired()) return false
+      nodes(d) += 1
+      val v = path(d)
+      if (v == t || d == to - from) return visit(path, d, st)
+      val budget = k - (from + d + 1)
+      onPath(v) = true
+      var ok = true
+      var e = g.first(v)
+      while (ok && e < g.end(v) && g.dt(e) <= budget) {
+        if (!onPath(g.dst(e))) next(st, e) match {
+          case Some(st2) => path(d + 1) = g.dst(e); ok = go(d + 1, st2)
+          case None =>
+        }
+        e += 1
+      }
+      onPath(v) = false
+      ok
     }
-    level.limit(maxRows).persist(StorageLevel.MEMORY_AND_DISK)
+    path(0) = start
+    go(0, init)
   }
 
-  /** Expected columns of `edgeRel`: `er_src`, `er_dst`, `er_dt`. */
+  /** Expected columns of `edgeRel`: `er_src`, `er_dst`, `er_dt`. Collects
+    * it once, then runs [[search]]. */
   def run(spark: SparkSession, edgeRel: DataFrame, q: HcQuery,
           cfg: EnumConfig = EnumConfig()): EnumResult =
-    enumerate(spark, edgeRel, q, cfg, None)._1
+    search(Adjacency.collect(edgeRel), q, cfg)
 
-  /** The level loop. With a `state`, also returns every accepted
-    * `(path, st)` row, whatever `cfg.collectPaths` says. */
-  private[core] def enumerate(spark: SparkSession, edgeRel: DataFrame, q: HcQuery,
-                              cfg: EnumConfig,
-                              state: Option[PathState]): (EnumResult, Seq[Row]) = {
+  /** IDX-DFS / BC-DFS over a collected relation. */
+  def search(g: Adjacency[_], q: HcQuery, cfg: EnumConfig): EnumResult =
+    searchWith(g, q, cfg, (), free, (_: Unit) => true, keep = false)._1
+
+  /** The search from `s` with a path value: `next` as in [[dfs]], and a path
+    * that reaches `t` is a result if `accept` holds for its final value.
+    * Also returns the results with their values if `keep` (or
+    * `cfg.collectPaths`) is set. */
+  private[core] def searchWith[S](g: Adjacency[_], q: HcQuery, cfg: EnumConfig, init: S,
+                                  next: Hop[S], accept: S => Boolean,
+                                  keep: Boolean): (EnumResult, Seq[(Seq[Long], S)]) = {
     val t0 = System.nanoTime()
     def elapsedMs: Double = (System.nanoTime() - t0) / 1e6
-
-    val persisted = ListBuffer.empty[DataFrame]
-    val collected = ListBuffer.empty[Row]
-    val perLevel = ListBuffer.empty[Long]
-    var cum = 0L
+    val t = g.vertex(q.t)
+    val start = g.vertex(q.s)
+    val perLevel = new Array[Long](q.k)
+    val nodes = new Array[Long](q.k + 1)
+    val found = ListBuffer.empty[(Seq[Long], S)]
+    var n = 0L
     var responseMs: Option[Double] = None
-    var timedOut = false
-    var truncated = false
-    var peakCells = 0L
-
-    try {
-      var partial = spark.range(1).select(
-        Seq(array(lit(q.s)).as("path"), lit(q.s).as("last")) ++
-          state.map(_.init.as("st")): _*)
-      var partialRows = 1L
-      var level = 1
-      while (level <= q.k && partialRows > 0 && !timedOut) {
-        val tLevel = System.nanoTime()
-        // One materialization per level, bounded by the row cap: the limit
-        // stops an exploding join before it swamps the session. A capped
-        // level marks the run truncated (result counts become lower bounds,
-        // as under the paper's 120 s kill) but expansion continues on the
-        // capped frontier until the wall-clock budget runs out — the DFS
-        // keeps emitting results, just like the paper's killed runs do.
-        val kept = step(partial, edgeRel, q, level, cfg.maxLevelRows, state)
-        persisted += kept
-        val nKept = kept.count()
-        if (nKept >= cfg.maxLevelRows) truncated = true
-
-        val done = kept.where(col("last") === q.t).drop("last")
-        val nDone = done.count()
-        perLevel += nDone
-        cum += nDone
-        if ((cfg.collectPaths || state.isDefined) && nDone > 0) collected ++= done.collect()
-
-        if (level < q.k) {
-          partial = kept.where(col("last") =!= q.t)
-          partialRows = nKept - nDone
-          peakCells = math.max(peakCells, partialRows * (level + 1))
-        } else partialRows = 0L
-
-        if (sys.env.contains("REPRO_DEBUG")) Console.err.println(
-          f"[leftdeep] level=$level kept=$nKept done=$nDone " +
-          f"${(System.nanoTime() - tLevel) / 1e6}%.0f ms")
-        if (responseMs.isEmpty && cum >= cfg.responseTarget) responseMs = Some(elapsedMs)
-        if (elapsedMs > cfg.timeBudgetMs) timedOut = true
-        level += 1
+    val complete = start < 0 || dfs(g, t, q.k, start, 0, q.k, init, next,
+      () => elapsedMs >= cfg.timeBudgetMs, nodes) { (path, d, st) =>
+      if (path(d) != t || !accept(st)) true
+      else {
+        n += 1
+        perLevel(d - 1) += 1
+        if (keep || cfg.collectPaths) found += ((path.take(d + 1).map(g.ids(_)).toSeq, st))
+        if (n == cfg.responseTarget) responseMs = Some(elapsedMs)
+        n < cfg.maxLevelRows
       }
-      // A run that found everything but fewer than `responseTarget` results
-      // "responded" when it finished (paper convention for small queries).
-      if (responseMs.isEmpty && !timedOut && !truncated) responseMs = Some(elapsedMs)
-
-      val paths = if (cfg.collectPaths) Some(collected.map(_.getSeq[Long](0)).toSeq) else None
-      (EnumResult(cum, perLevel.toSeq, elapsedMs, responseMs, timedOut || truncated,
-        peakCells, paths), collected.toSeq)
-    } finally persisted.foreach(_.unpersist(blocking = false))
+    }
+    // A run that found everything but fewer than `responseTarget` results
+    // "responded" when it finished (paper convention for small queries).
+    if (responseMs.isEmpty && complete) responseMs = Some(elapsedMs)
+    val paths = if (cfg.collectPaths) Some(found.map(_._1).toSeq) else None
+    // The search holds one path: its longest is the peak materialized.
+    (EnumResult(n, perLevel.toSeq, elapsedMs, responseMs, !complete,
+      nodes.lastIndexWhere(_ > 0) + 1, paths), found.toSeq)
   }
 
   /** The IDX-DFS edge relation: pruned index edges. */

@@ -8,9 +8,9 @@ import repro.graph.{Bfs, GraphGen}
 /** The paper's light-weight query-dependent index (Algorithm 3).
   *
   * The paper stores, per vertex `v` with `v.s + v.t <= k`, its neighbors
-  * sorted by distance-to-t, plus the partition table `X[i][j]`. In a
-  * dataflow setting the same structure is a pruned **edge DataFrame** that
-  * carries both endpoint distances as columns:
+  * sorted by distance-to-t, plus the partition table `X[i][j]`. The index
+  * is built on Spark as a pruned **edge DataFrame** that carries both
+  * endpoint distances as columns:
   *
   * {{{ edges(src, dst, srcDs, srcDt, dstDs, dstDt) }}}
   *
@@ -21,11 +21,11 @@ import repro.graph.{Bfs, GraphGen}
   *   - `srcDs + dstDt + 1 <= k`    (the H-table neighbor condition),
   *   - `src != t`                  (enumeration never expands past t).
   *
-  * The paper's lookups map to predicate pushdowns, which the callers
-  * ([[LeftDeepEnum.step]], [[Estimator]]) apply inline:
-  *   - `I(i)`      = `vertices.where(ds <= i && dt <= k - i)`  (C_i),
-  *   - `I_t(v, b)` = `edges.where(src = v && dstDt <= b)` — the dt-sorted
-  *     `Neighbors`/`Offset` arrays of the paper are exactly this filter.
+  * The build collects both tables once into the paper's own layout:
+  * `local` holds the edges with dt-sorted neighbors, so `I_t(v, b)` is a
+  * prefix scan, and `dist` holds `(ds, dt)` per vertex, so `I(i)` (C_i) is
+  * the vertices with `ds <= i && dt <= k - i`. [[Estimator]],
+  * [[LeftDeepEnum]] and [[JoinEnum]] run over that form on the driver.
   *
   * Both distance BFS runs are bounded by `k` (farther vertices cannot be in
   * any result, Proposition 4.3), which is also what keeps construction cheap.
@@ -36,10 +36,15 @@ final case class LightIndex(
     vertices: DataFrame, // (v, ds, dt) restricted to ds + dt <= k
     buildMs: Double,
     edgeCount: Long,
-    vertexCount: Long) {
+    vertexCount: Long,
+    local: Adjacency[Unit],
+    dist: Map[Long, (Int, Int)]) { // v -> (ds, dt), the vertex table
+
+  /** `ds` and `dt` of each vertex number of `local`. */
+  def localDistances: (Array[Int], Array[Int]) = local.ids.map(dist).unzip
 
   /** Index memory in the sense of Table 7: materialized cells x 8 bytes
-    * (6 longs per indexed edge + 3 per vertex-stat row). */
+    * (6 longs per distinct indexed edge + 3 per vertex-stat row). */
   def memoryBytes: Long = edgeCount * 6 * 8 + vertexCount * 3 * 8
 
   def unpersist(): Unit = {
@@ -64,7 +69,7 @@ object LightIndex {
     val verts = ds.join(dt, "v")
       .where(col("ds") + col("dt") <= q.k)
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val nVerts = verts.count()
+    val dist = verts.collect().map(r => r.getLong(0) -> (r.getInt(1), r.getInt(2))).toMap
 
     val srcV = verts.select(col("v").as("src"), col("ds").as("srcDs"), col("dt").as("srcDt"))
     val dstV = verts.select(col("v").as("dst"), col("ds").as("dstDs"), col("dt").as("dstDt"))
@@ -77,9 +82,10 @@ object LightIndex {
              col("src") =!= q.t && col("dst") =!= q.s)
       .select("src", "dst", "srcDs", "srcDt", "dstDs", "dstDt")
       .persist(StorageLevel.MEMORY_AND_DISK)
-    val nEdges = idxEdges.count()
+    val local = Adjacency(idxEdges.collect().toSeq
+      .map(r => (r.getLong(0), r.getLong(1), r.getInt(5), ())))
 
     val ms = (System.nanoTime() - t0) / 1e6
-    LightIndex(q, idxEdges, verts, ms, nEdges, nVerts)
+    LightIndex(q, idxEdges, verts, ms, local.edgeCount, dist.size, local, dist)
   }
 }

@@ -24,10 +24,12 @@ final case class PathEnumResult(
 }
 
 /** Top-level PathEnum (Figure 2): build the light-weight index, run the
-  * two-phase query optimizer, and enumerate with the chosen plan.
+  * two-phase query optimizer, and enumerate with the chosen plan. Only the
+  * index build runs Spark jobs; the optimizer and the plans run on the
+  * index it collects.
   *
-  * Phase 1: the preliminary estimator (Eq. 5) computes T̂ in O(k^2) from
-  * index histograms; if T̂ <= τ the search space is small and IDX-DFS runs
+  * Phase 1: the preliminary estimator (Eq. 5) computes T̂ from the
+  * collected index; if T̂ <= τ the search space is small and IDX-DFS runs
   * directly (optimization would dominate such queries). Phase 2: the
   * full-fledged DP (Alg. 5) produces exact walk-count cardinalities, the
   * best cut i*, and the Eq.-1 costs T_DFS / T_JOIN; the cheaper plan runs.
@@ -52,37 +54,24 @@ object PathEnum {
                  cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult = {
     val tOpt0 = System.nanoTime()
     val tHat = Estimator.preliminary(spark, index)
-    if (tHat <= tau) {
-      val optMs = (System.nanoTime() - tOpt0) / 1e6
-      val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
-      PathEnumResult(res, PlanInfo("DFS(prelim)", tHat, None, None, None),
-        index.buildMs, optMs, index.edgeCount, index.memoryBytes)
-    } else {
-      val dp = Estimator.full(spark, index)
-      val optMs = (System.nanoTime() - tOpt0) / 1e6
-      if (dp.tDfs <= dp.tJoin) {
-        val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
-        PathEnumResult(res,
-          PlanInfo("DFS(cost)", tHat, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
-          index.buildMs, optMs, index.edgeCount, index.memoryBytes)
-      } else {
-        val res = JoinEnum.run(spark, LeftDeepEnum.indexRelation(index), q, dp.bestCut, cfg)
-        PathEnumResult(res,
-          PlanInfo("JOIN", tHat, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
-          index.buildMs, optMs, index.edgeCount, index.memoryBytes)
-      }
+    val dp = if (tHat <= tau) None else Some(Estimator.full(spark, index))
+    val optMs = (System.nanoTime() - tOpt0) / 1e6
+    val (plan, res) = dp match {
+      case None => ("DFS(prelim)", LeftDeepEnum.search(index.local, q, cfg))
+      case Some(d) if d.tDfs <= d.tJoin => ("DFS(cost)", LeftDeepEnum.search(index.local, q, cfg))
+      case Some(d) => ("JOIN", JoinEnum.search(index.local, q, d.bestCut, cfg))
     }
+    result(index, res, PlanInfo(plan, tHat, dp.map(_.bestCut), dp.map(_.tDfs), dp.map(_.tJoin)),
+      optMs)
   }
 
   /** IDX-DFS as a standalone competitor (Table 3 column). */
   def idxDfs(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
              cfg: EnumConfig = EnumConfig()): PathEnumResult = {
     val index = LightIndex.build(spark, graphEdges, q)
-    try {
-      val res = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(index), q, cfg)
-      PathEnumResult(res, PlanInfo("DFS(forced)", -1, None, None, None),
-        index.buildMs, 0.0, index.edgeCount, index.memoryBytes)
-    } finally index.unpersist()
+    try result(index, LeftDeepEnum.search(index.local, q, cfg),
+      PlanInfo("DFS(forced)", -1, None, None, None), 0.0)
+    finally index.unpersist()
   }
 
   /** IDX-JOIN as a standalone competitor (Table 3 column): always optimizes
@@ -92,10 +81,13 @@ object PathEnum {
     val index = LightIndex.build(spark, graphEdges, q)
     try {
       val dp = Estimator.full(spark, index)
-      val res = JoinEnum.run(spark, LeftDeepEnum.indexRelation(index), q, dp.bestCut, cfg)
-      PathEnumResult(res,
-        PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)),
-        index.buildMs, dp.optMs, index.edgeCount, index.memoryBytes)
+      result(index, JoinEnum.search(index.local, q, dp.bestCut, cfg),
+        PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)), dp.optMs)
     } finally index.unpersist()
   }
+
+  /** A run on `index` with its build time and size. */
+  private[core] def result(index: LightIndex, res: EnumResult, plan: PlanInfo,
+                           optMs: Double): PathEnumResult =
+    PathEnumResult(res, plan, index.buildMs, optMs, index.edgeCount, index.memoryBytes)
 }

@@ -25,20 +25,16 @@ import org.apache.spark.sql.types._
   */
 object Bfs {
 
-  private val debug = sys.env.contains("REPRO_DEBUG")
-
   private val outSchema = StructType(Seq(
     StructField("v", LongType, nullable = false),
     StructField("dist", IntegerType, nullable = false)))
 
   def distances(spark: SparkSession, edges: DataFrame, source: Long,
                 maxHops: Int, noExpand: Set[Long] = Set.empty): DataFrame = {
-    val t0 = System.nanoTime()
     val visited = scala.collection.mutable.Map[Long, Int](source -> 0)
     var frontier: Seq[Long] = Seq(source)
     var i = 1
     while (frontier.nonEmpty && i <= maxHops) {
-      val tIter = System.nanoTime()
       val expandable = frontier.filterNot(noExpand)
       val next =
         if (expandable.isEmpty) Seq.empty[Long]
@@ -52,13 +48,9 @@ object Bfs {
             .filterNot(visited.contains)
         }
       next.foreach(v => visited(v) = i)
-      if (debug) Console.err.println(
-        f"[bfs] src=$source iter=$i rows=${next.size} ${(System.nanoTime() - tIter) / 1e6}%.0f ms")
       frontier = next
       i += 1
     }
-    if (debug) Console.err.println(
-      f"[bfs] src=$source total ${(System.nanoTime() - t0) / 1e6}%.0f ms")
     spark.createDataFrame(
       spark.sparkContext.parallelize(
         visited.toSeq.map { case (v, d) => Row(v, d) }, 4),

@@ -21,9 +21,14 @@ trait ReproSpec extends SparkSpec {
   def edgeDf(pairs: Seq[(Long, Long)]): DataFrame =
     GraphGen.fromPairs(spark, pairs)
 
-  /** Canonical path set from an EnumResult that collected paths. */
-  def pathSet(r: repro.core.EnumResult): Set[List[Long]] =
-    r.paths.getOrElse(fail("run did not collect paths")).map(_.toList).toSet
+  /** Canonical path set from an EnumResult that collected paths; fails if
+    * a path repeats or the paths disagree with the result count. */
+  def pathSet(r: repro.core.EnumResult): Set[List[Long]] = {
+    val paths = r.paths.getOrElse(fail("run did not collect paths")).map(_.toList)
+    assert(paths.size == paths.distinct.size, s"duplicate paths in $paths")
+    assert(paths.size == r.results, s"${paths.size} paths for ${r.results} results")
+    paths.toSet
+  }
 }
 
 /** Hand-built and random graph fixtures shared across suites. */

@@ -8,8 +8,19 @@ class BcSpec extends ReproSpec {
   private val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true)
 
   test("BC-DFS finds all paths on the layered DAG") {
+    val want = RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4)
     val r = BcDfs.run(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4), cfg)
-    assert(pathSet(r.enum) == RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4))
+    assert(pathSet(r.enum) == want)
+    // Under a row cap of 3: the first 3 in DFS order (by dt, then id, which
+    // is lexicographic here), flagged and repeatable.
+    val capped = cfg.copy(maxLevelRows = 3)
+    val c = BcDfs.run(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4), capped)
+    assert(c.enum.results == 3 && c.enum.timedOut)
+    assert(pathSet(c.enum).subsetOf(want))
+    assert(BcDfs.run(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4), capped).enum.paths
+      == c.enum.paths)
+    assert(c.enum.paths.get.map(_.toList) ==
+      want.toList.sorted(Ordering.Implicits.seqOrdering[List, Long]).take(3))
   }
 
   test("BC-DFS rejects walks on the cyclic graph") {

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.{RefGraph, ReproSpec, TestGraphs}
-import repro.core.{EnumConfig, HcQuery}
+import repro.core.{EnumConfig, Estimator, HcQuery, LightIndex}
 
 class RunnerSpec extends ReproSpec {
 
@@ -27,6 +27,16 @@ class RunnerSpec extends ReproSpec {
     }
     assert(counts.distinct.size == 1, s"counts $counts diverge")
     assert(counts.head == RefGraph.Ref(pairs).paths(1L, 2L, 5).size)
+  }
+
+  test("a parallel edge yields its path once in all five algorithms and the DP") {
+    val pairs = Seq((1L, 3L), (1L, 3L), (3L, 2L))
+    val q = HcQuery(1L, 2L, 3)
+    for (a <- Runner.algos)
+      assert(Runner.run(spark, "multi", edgeDf(pairs), a, q, cfg).results == 1, a)
+    val idx = LightIndex.build(spark, edgeDf(pairs), q)
+    try assert(Estimator.full(spark, idx).forward(3) == RefGraph.Ref(pairs).walks(1L, 2L, 3).size)
+    finally idx.unpersist()
   }
 
   test("unknown algorithm is rejected") {

@@ -105,7 +105,7 @@ class ExtensionsSpec extends ReproSpec {
     for (cfg <- Seq(EnumConfig(timeBudgetMs = 300000L, maxLevelRows = 1),
                     EnumConfig(timeBudgetMs = 0L))) {
       val (r, _) = Extensions.accumulative(spark, unitWeights(TestGraphs.layered),
-        HcQuery(1L, 2L, 4), init = 0.0, op = _ + _, accepts = _ => lit(true), cfg = cfg)
+        HcQuery(1L, 2L, 4), init = 0.0, op = _ + _, accepts = _ => true, cfg = cfg)
       assert(r.enum.timedOut, s"not marked timed out under $cfg")
     }
   }
@@ -119,7 +119,7 @@ class ExtensionsSpec extends ReproSpec {
 
     test(s"accept-all accumulative equals reference on $name") {
       val (r, got) = Extensions.accumulative(spark, unitWeights(pairs), q,
-        init = 0.0, op = _ + _, accepts = _ => lit(true), cfg = cfg)
+        init = 0.0, op = _ + _, accepts = _ => true, cfg = cfg)
       assert(got.size == want.size && got.map(_._1.toList).toSet == want)
       for ((p, acc) <- got) assert(acc == p.size - 1, s"path $p")
       assert(r.enum.results == want.size)

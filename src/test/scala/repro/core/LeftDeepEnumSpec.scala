@@ -78,6 +78,23 @@ class LeftDeepEnumSpec extends ReproSpec {
     } finally idx.unpersist()
   }
 
+  test("row cap cuts a repeatable prefix of the results") {
+    val q = HcQuery(1L, 2L, 4)
+    val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
+    try {
+      val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true, maxLevelRows = 3)
+      val r = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cfg)
+      val want = RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4)
+      assert(r.results == 3 && r.timedOut)
+      assert(pathSet(r).subsetOf(want))
+      assert(LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cfg).paths == r.paths)
+      // The first 3 in DFS order: neighbours by dt, then id, which on this
+      // DAG is the lexicographic order.
+      assert(r.paths.get.map(_.toList) ==
+        want.toList.sorted(Ordering.Implicits.seqOrdering[List, Long]).take(3))
+    } finally idx.unpersist()
+  }
+
   test("responseMs set when run completes") {
     val r = idxDfs(TestGraphs.layered, HcQuery(1L, 2L, 4))
     assert(r.responseMs.isDefined)
