@@ -1,17 +1,15 @@
 package repro.baseline
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
 import repro.core.{Adjacency, EnumConfig, HcQuery, LeftDeepEnum, PathEnumResult, PlanInfo}
-import repro.graph.{Bfs, GraphGen}
+import repro.graph.Bfs
 
 /** BC-DFS baseline — the state-of-the-art polynomial-delay competitor [29]
   * on the same search routine as IDX-DFS.
   *
   * Algorithm 1: search over the **full** edge list; before the search, one
-  * BFS from `t` along `G^r` initializes `B(v) = S(v, t | G)` on Spark, the
-  * relation is collected once, and each step only checks
+  * BFS to `t` initializes `B(v) = S(v, t | G)` on Spark, one job collects
+  * the relation, and each step only checks
   * `L(M) + 1 + B(v') <= k` plus the duplicate-vertex test. (The
   * dynamic barrier maintenance of [29] prunes sub-trees discovered empty;
   * the paper's own measurements — Figure 6 — show it removes few additional
@@ -22,22 +20,24 @@ import repro.graph.{Bfs, GraphGen}
   */
 object BcDfs {
 
-  /** Edge relation: full edges with `er_dt = B(dst)`; vertices that cannot
-    * reach `t` drop out (their check can never pass), and edges out of `t`
-    * are never followed (Definition 2.1 stops at t). */
-  private def edges(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): DataFrame = {
-    val b = Bfs.distances(spark, GraphGen.reverse(graphEdges), q.t, q.k)
-    graphEdges
-      .join(b.select(col("v").as("dst"), col("dist").as("er_dt")), "dst")
-      .where(col("src") =!= q.t)
-      .select(col("src").as("er_src"), col("dst").as("er_dst"), col("er_dt"))
+  /** Edge relation `(src, dst, B(dst))`: `B` is the BFS distance to `t`
+    * over the full graph, k − 1 hops (no hop with `B(v') = k` passes
+    * `L(M) + 1 + B(v') <= k`), then one job keeps the edges whose target
+    * has a `B` and whose source is not `t` (Definition 2.1 stops at t):
+    * k jobs in all. */
+  private def rows(graphEdges: DataFrame, q: HcQuery): Seq[(Long, Long, Int)] = {
+    val edges = Bfs.pairs(graphEdges)
+    val b = Bfs.search(edges, None, Some(q.t), q.k - 1)._2
+    edges.mapPartitions(_.flatMap { case (u, v) =>
+      if (u == q.t) None else b.get(v).map((u, v, _))
+    }).collect().toSeq
   }
 
-  /** The relation, persisted, with its build time. */
+  /** The relation `(er_src, er_dst, er_dt)` as a DataFrame, with its build
+    * time. */
   def relation(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): (DataFrame, Double) = {
     val t0 = System.nanoTime()
-    val rel = edges(spark, graphEdges, q).persist(StorageLevel.MEMORY_AND_DISK)
-    rel.count()
+    val rel = spark.createDataFrame(rows(graphEdges, q)).toDF("er_src", "er_dst", "er_dt")
     (rel, (System.nanoTime() - t0) / 1e6)
   }
 
@@ -45,7 +45,7 @@ object BcDfs {
   private[baseline] def collected(spark: SparkSession, graphEdges: DataFrame,
                                   q: HcQuery): (Adjacency[Unit], Double) = {
     val t0 = System.nanoTime()
-    val g = Adjacency.collect(edges(spark, graphEdges, q))
+    val g = Adjacency(rows(graphEdges, q).map { case (u, v, d) => (u, v, d, ()) })
     (g, (System.nanoTime() - t0) / 1e6)
   }
 

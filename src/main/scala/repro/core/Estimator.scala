@@ -16,18 +16,24 @@ final case class DpEstimate(forward: Seq[Long], backward: Seq[Long], optMs: Doub
   val k: Int = forward.length - 1
 
   /** Cost of the left-deep plan (Alg. 4): T_DFS = Σ_{1<=i<=k} |Q[0:i]|. */
-  def tDfs: Long = (1 to k).map(forward).sum
+  def tDfs: Long = DpEstimate.sum((1 to k).map(forward))
 
   /** Cut position i* minimizing |Q[0:i]| + |Q[i:k]| over 1..k-1 (Alg. 5
     * line 11; the endpoints degenerate to the left-deep plan). */
-  def bestCut: Int = (1 until k).minBy(i => forward(i) + backward(i))
+  def bestCut: Int = (1 until k).minBy(i => Math.addExact(forward(i), backward(i)))
 
   /** Cost of the bushy plan cut at i* (Section 6.3):
     * T_JOIN = |Q| + Σ_{1<=i<=i*} |Q[0:i]| + Σ_{i*<=i<=k} |Q[i:k]|. */
   def tJoin: Long = {
     val i = bestCut
-    forward(k) + (1 to i).map(forward).sum + (i to k).map(backward).sum
+    DpEstimate.sum(forward(k) +: ((1 to i).map(forward) ++ (i to k).map(backward)))
   }
+}
+
+object DpEstimate {
+  /** A sum of counts that throws on `Long` overflow, as [[Estimator.full]]
+    * does, rather than wrap and flip the plan choice. */
+  def sum(xs: Iterable[Long]): Long = xs.foldLeft(0L)(Math.addExact)
 }
 
 /** The two-phase cardinality estimation of Section 6.2, on the driver over
@@ -38,7 +44,8 @@ final case class DpEstimate(forward: Seq[Long], backward: Seq[Long], optMs: Doub
   * full-fledged estimator is the dynamic program of Alg. 5 over the same
   * slots; because the index is exact for the query, its level sums are
   * *exact padded-walk counts* (the tests check `forward(k) == backward(0)`
-  * and both against a reference counter). Sums overflowing a `Long` throw.
+  * and both against a reference counter). Sums overflowing a `Long` throw,
+  * here and in the costs of [[DpEstimate]].
   */
 object Estimator {
 
@@ -77,7 +84,6 @@ object Estimator {
         for (e <- g.first(v) until g.end(v) if g.dt(e) <= k - p - 1) f(v, g.dst(e))
         if (v == t) f(t, t)
       }
-    def total(c: Array[Long]): Long = c.foldLeft(0L)(Math.addExact)
     def seed(v: Int): Array[Long] = {
       val c = new Array[Long](g.vertexCount)
       if (v >= 0) c(v) = 1L
@@ -91,7 +97,7 @@ object Estimator {
     for (p <- 0 until k) {
       val next = new Array[Long](g.vertexCount)
       hops(p)((v, w) => next(w) = Math.addExact(next(w), cnt(v)))
-      forward(p + 1) = total(next)
+      forward(p + 1) = DpEstimate.sum(next)
       cnt = next
     }
 
@@ -102,7 +108,7 @@ object Estimator {
     for (p <- (k - 1) to 0 by -1) {
       val prev = new Array[Long](g.vertexCount)
       hops(p)((v, w) => prev(v) = Math.addExact(prev(v), cnt(w)))
-      backward(p) = total(prev)
+      backward(p) = DpEstimate.sum(prev)
       cnt = prev
     }
 

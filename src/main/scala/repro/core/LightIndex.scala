@@ -1,44 +1,37 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.storage.StorageLevel
-import repro.graph.{Bfs, GraphGen}
+import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.functions.col
+import repro.graph.Bfs
 
 /** The paper's light-weight query-dependent index (Algorithm 3).
   *
   * The paper stores, per vertex `v` with `v.s + v.t <= k`, its neighbors
-  * sorted by distance-to-t, plus the partition table `X[i][j]`. The index
-  * is built on Spark as a pruned **edge DataFrame** that carries both
-  * endpoint distances as columns:
+  * sorted by distance-to-t, plus the partition table `X[i][j]`. Here
+  * `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`, and an
+  * edge `(u, v)` is in the index when
+  *   - `ds(u) + dt(u) <= k`        (u in X),
+  *   - `ds(v) + dt(v) <= k`        (v in X),
+  *   - `ds(u) + dt(v) + 1 <= k`    (the H-table neighbor condition),
+  *   - `u != t`                    (enumeration never expands past t),
+  *   - `v != s`                    (s is never interior, Definition 2.1).
   *
-  * {{{ edges(src, dst, srcDs, srcDt, dstDs, dstDt) }}}
-  *
-  * where `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`,
-  * and every row satisfies
-  *   - `srcDs + srcDt <= k`        (src in X),
-  *   - `dstDs + dstDt <= k`        (dst in X),
-  *   - `srcDs + dstDt + 1 <= k`    (the H-table neighbor condition),
-  *   - `src != t`                  (enumeration never expands past t).
-  *
-  * The build collects both tables once into the paper's own layout:
-  * `local` holds the edges with dt-sorted neighbors, so `I_t(v, b)` is a
-  * prefix scan, and `dist` holds `(ds, dt)` per vertex, so `I(i)` (C_i) is
-  * the vertices with `ds <= i && dt <= k - i`. [[Estimator]],
-  * [[LeftDeepEnum]] and [[JoinEnum]] run over that form on the driver.
-  *
-  * Both distance BFS runs are bounded by `k` (farther vertices cannot be in
-  * any result, Proposition 4.3), which is also what keeps construction cheap.
+  * The index is held in the paper's own layout on the driver: `local` has
+  * the edges with dt-sorted neighbors, so `I_t(v, b)` is a prefix scan,
+  * and `dist` holds `(ds, dt)` per vertex of X, so `I(i)` (C_i) is the
+  * vertices with `ds <= i && dt <= k - i`. [[Estimator]], [[LeftDeepEnum]]
+  * and [[JoinEnum]] run over that form. `edges` and `vertices` give the
+  * same index as DataFrames, built on demand from it.
   */
 final case class LightIndex(
+    spark: SparkSession,
     query: HcQuery,
-    edges: DataFrame,
-    vertices: DataFrame, // (v, ds, dt) restricted to ds + dt <= k
     buildMs: Double,
-    edgeCount: Long,
-    vertexCount: Long,
     local: Adjacency[Unit],
     dist: Map[Long, (Int, Int)]) { // v -> (ds, dt), the vertex table
+
+  def edgeCount: Long = local.edgeCount
+  def vertexCount: Long = dist.size
 
   /** `ds` and `dt` of each vertex number of `local`. */
   def localDistances: (Array[Int], Array[Int]) = local.ids.map(dist).unzip
@@ -47,45 +40,61 @@ final case class LightIndex(
     * (6 longs per distinct indexed edge + 3 per vertex-stat row). */
   def memoryBytes: Long = edgeCount * 6 * 8 + vertexCount * 3 * 8
 
-  def unpersist(): Unit = {
-    edges.unpersist(blocking = false)
-    vertices.unpersist(blocking = false)
+  /** One row `(src, dst, srcDs, srcDt, dstDs, dstDt)` per distinct edge. */
+  def edges: DataFrame = {
+    val g = local
+    val rows = for (v <- g.ids.indices; e <- g.first(v) until g.end(v)) yield {
+      val (u, w) = (g.ids(v), g.ids(g.dst(e)))
+      (u, w, dist(u)._1, dist(u)._2, dist(w)._1, dist(w)._2)
+    }
+    spark.createDataFrame(rows).toDF("src", "dst", "srcDs", "srcDt", "dstDs", "dstDt")
   }
+
+  /** The vertex table `(v, ds, dt)`, restricted to `ds + dt <= k`. */
+  def vertices: DataFrame =
+    spark.createDataFrame(dist.toSeq.map { case (v, (ds, dt)) => (v, ds, dt) }).toDF("v", "ds", "dt")
+
+  /** Nothing is cached on Spark: the index lives on the driver. */
+  def unpersist(): Unit = ()
 }
 
 object LightIndex {
 
-  /** Build the index for `q` over `graphEdges` (columns `src`, `dst`). */
-  def build(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): LightIndex = {
+  /** Build the index for `q` over `graphEdges` (columns `src`, `dst`): at
+    * most k Spark jobs. */
+  def build(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): LightIndex =
+    collect(spark, graphEdges, q, Nil)(_ => ())._1
+
+  /** Builds the index for `q` and collects its edges `(src, dst, dt(dst),
+    * attr(row))`, where `row` is `(src, dst, attrs...)` of `graphEdges`.
+    *
+    * The fused BFS ([[Bfs.search]]) runs k − 1 hops: a vertex other than `t`
+    * with `ds = k` has `dt >= 1`, so it is not in X, and likewise a vertex
+    * other than `s` with `dt = k`. One more job over the same edges checks
+    * the conditions above in the task and returns only index edges. `s` and
+    * `t` skip the X check there, because the edge condition implies it; the
+    * driver then takes `ds(t)` as the least `ds(u) + 1` over the index
+    * edges `(u, t)`, and `dt(s)` as the least `dt(v) + 1` over `(s, v)`.
+    */
+  private[core] def collect[A](spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
+                               attrs: Seq[Column])(attr: Row => A)
+                              : (LightIndex, Seq[(Long, Long, Int, A)]) = {
     val t0 = System.nanoTime()
-    // ds(v) = S(s, v | G − {t}): forward BFS from s, never expanding through t.
-    val ds = Bfs.distances(spark, graphEdges, q.s, q.k, noExpand = Set(q.t))
-      .withColumnRenamed("dist", "ds")
-    // dt(v) = S(v, t | G − {s}): BFS from t on the reversed graph, never
-    // expanding through s.
-    val dt = Bfs.distances(spark, GraphGen.reverse(graphEdges), q.t, q.k, noExpand = Set(q.s))
-      .withColumnRenamed("dist", "dt")
-
-    val verts = ds.join(dt, "v")
-      .where(col("ds") + col("dt") <= q.k)
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val dist = verts.collect().map(r => r.getLong(0) -> (r.getInt(1), r.getInt(2))).toMap
-
-    val srcV = verts.select(col("v").as("src"), col("ds").as("srcDs"), col("dt").as("srcDt"))
-    val dstV = verts.select(col("v").as("dst"), col("ds").as("dstDs"), col("dt").as("dstDt"))
-    val idxEdges = graphEdges
-      .join(srcV, "src")
-      .join(dstV, "dst")
-      // src != t: enumeration stops at t. dst != s: s is never interior
-      // (Definition 2.1; mirrors R_i ⊆ E(G − {s}) in the join model).
-      .where(col("srcDs") + col("dstDt") + 1 <= q.k &&
-             col("src") =!= q.t && col("dst") =!= q.s)
-      .select("src", "dst", "srcDs", "srcDt", "dstDs", "dstDt")
-      .persist(StorageLevel.MEMORY_AND_DISK)
-    val local = Adjacency(idxEdges.collect().toSeq
-      .map(r => (r.getLong(0), r.getLong(1), r.getInt(5), ())))
-
-    val ms = (System.nanoTime() - t0) / 1e6
-    LightIndex(q, idxEdges, verts, ms, local.edgeCount, dist.size, local, dist)
+    val rows = graphEdges.select(col("src").cast("long") +: col("dst").cast("long") +: attrs: _*).rdd
+    val (ds, dt) = Bfs.search(rows.map(r => (r.getLong(0), r.getLong(1))), Some(q.s), Some(q.t),
+      q.k - 1, sStop = Set(q.t), tStop = Set(q.s))
+    val x = for ((v, a) <- ds; b <- dt.get(v) if a + b <= q.k) yield v -> (a, b)
+    // ds of the admissible sources and dt of the admissible targets.
+    val from = x.collect { case (v, (a, _)) if v != q.t => v -> a } + (q.s -> 0)
+    val to = x.collect { case (v, (_, b)) if v != q.s => v -> b } + (q.t -> 0)
+    val edges = rows.mapPartitions(_.flatMap { r =>
+      val (u, v) = (r.getLong(0), r.getLong(1))
+      for (a <- from.get(u); b <- to.get(v) if a + b + 1 <= q.k) yield (u, v, b, attr(r))
+    }).collect().toSeq
+    val dsT = edges.collect { case (u, q.t, _, _) => from(u) + 1 }.minOption
+    val dtS = edges.collect { case (q.s, _, b, _) => b + 1 }.minOption
+    val dist = x ++ dsT.map(q.t -> (_, 0)) ++ dtS.map(q.s -> (0, _))
+    val local = Adjacency(edges.map { case (u, v, b, _) => (u, v, b, ()) })
+    (LightIndex(spark, q, (System.nanoTime() - t0) / 1e6, local, dist), edges)
   }
 }

@@ -43,11 +43,8 @@ object PathEnum {
   val defaultTau: Double = sys.env.get("REPRO_TAU").map(_.toDouble).getOrElse(1e4)
 
   def run(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
-          cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult = {
-    val index = LightIndex.build(spark, graphEdges, q)
-    try runOnIndex(spark, index, q, cfg, tau)
-    finally index.unpersist()
-  }
+          cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult =
+    runOnIndex(spark, LightIndex.build(spark, graphEdges, q), q, cfg, tau)
 
   /** Run with a pre-built index (benches reuse the index across variants). */
   def runOnIndex(spark: SparkSession, index: LightIndex, q: HcQuery,
@@ -69,9 +66,8 @@ object PathEnum {
   def idxDfs(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
              cfg: EnumConfig = EnumConfig()): PathEnumResult = {
     val index = LightIndex.build(spark, graphEdges, q)
-    try result(index, LeftDeepEnum.search(index.local, q, cfg),
+    result(index, LeftDeepEnum.search(index.local, q, cfg),
       PlanInfo("DFS(forced)", -1, None, None, None), 0.0)
-    finally index.unpersist()
   }
 
   /** IDX-JOIN as a standalone competitor (Table 3 column): always optimizes
@@ -79,11 +75,9 @@ object PathEnum {
   def idxJoin(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
               cfg: EnumConfig = EnumConfig()): PathEnumResult = {
     val index = LightIndex.build(spark, graphEdges, q)
-    try {
-      val dp = Estimator.full(spark, index)
-      result(index, JoinEnum.search(index.local, q, dp.bestCut, cfg),
-        PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)), dp.optMs)
-    } finally index.unpersist()
+    val dp = Estimator.full(spark, index)
+    result(index, JoinEnum.search(index.local, q, dp.bestCut, cfg),
+      PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)), dp.optMs)
   }
 
   /** A run on `index` with its build time and size. */

@@ -1,65 +1,79 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
+import org.apache.spark.rdd.RDD
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
+import scala.collection.mutable
 
-/** Bounded breadth-first-search distances as an iterative frontier-join
-  * dataflow.
+/** Bounded breadth-first-search distances, one Spark job per hop.
   *
-  * `distances(edges, source, maxHops, noExpand)` returns a DataFrame
-  * `(v: Long, dist: Int)` with the length of the shortest path from `source`
-  * to every vertex reachable within `maxHops` hops. Vertices in `noExpand`
-  * may be *reached* (they get a distance) but are never *expanded through* —
-  * this realizes the paper's `S(s, v | G − {t})` / `S(v, t | G − {s})`
-  * semantics: the excluded vertex cannot be an interior vertex of the
-  * shortest path, but can be its endpoint.
+  * A search runs over the edges as an `(src, dst)` RDD ([[pairs]]), and up
+  * to two searches run at once: one from a source along the edges and one
+  * from a target against them (distances *to* the target). Hop i is one
+  * superstep in the Pregel sense: a single `mapPartitions` job scans the
+  * edges once and returns the successors of the forward frontier and the
+  * predecessors of the backward frontier. The frontiers travel in the task
+  * closure, so every hop runs the same plan with no SQL join or shuffle;
+  * the visited maps and the dedup stay on the driver, and a hop returns
+  * only candidate frontier vertices.
   *
-  * Distances *to* a target are obtained by passing `GraphGen.reverse(edges)`.
-  *
-  * Each hop is one join of the current frontier against the edge DataFrame
-  * (the distributed part — Pregel-style); the visited set and frontier ids
-  * live on the driver, so every iteration submits a fresh, constant-depth
-  * plan. (A previous version threaded a growing union-of-caches lineage
-  * through the loop; Catalyst replanning made iterations superlinear.)
+  * Vertices in a search's stop set (`sStop`, `tStop`, `noExpand`) may be
+  * *reached* (they get a distance) but are never *expanded through*. This realizes the paper's
+  * `S(s, v | G − {t})` / `S(v, t | G − {s})` semantics: the excluded vertex
+  * cannot be an interior vertex of the shortest path, but can be its
+  * endpoint.
   */
 object Bfs {
 
-  private val outSchema = StructType(Seq(
-    StructField("v", LongType, nullable = false),
-    StructField("dist", IntegerType, nullable = false)))
+  /** The `(src, dst)` pairs of an edge DataFrame: the RDD a search scans. */
+  def pairs(edges: DataFrame): RDD[(Long, Long)] =
+    edges.select(col("src").cast("long"), col("dst").cast("long")).rdd
+      .map(r => (r.getLong(0), r.getLong(1)))
 
-  def distances(spark: SparkSession, edges: DataFrame, source: Long,
-                maxHops: Int, noExpand: Set[Long] = Set.empty): DataFrame = {
-    val visited = scala.collection.mutable.Map[Long, Int](source -> 0)
-    var frontier: Seq[Long] = Seq(source)
-    var i = 1
-    while (frontier.nonEmpty && i <= maxHops) {
-      val expandable = frontier.filterNot(noExpand)
-      val next =
-        if (expandable.isEmpty) Seq.empty[Long]
-        else {
-          val fDf = spark.createDataFrame(
-            spark.sparkContext.parallelize(expandable.map(Row(_)), 4),
-            StructType(Seq(StructField("v", LongType, nullable = false))))
-          fDf.join(edges, col("v") === col("src"))
-            .select("dst").distinct()
-            .collect().map(_.getLong(0)).toSeq
-            .filterNot(visited.contains)
-        }
-      next.foreach(v => visited(v) = i)
-      frontier = next
-      i += 1
+  /** Distances from `s` along the edges, never expanding through `sStop`,
+    * and to `t` against them, never expanding through `tStop`, each within
+    * `maxHops` hops: at most `maxHops` jobs. A search without its source
+    * returns an empty map. */
+  def search(edges: RDD[(Long, Long)], s: Option[Long], t: Option[Long], maxHops: Int,
+            sStop: Set[Long] = Set.empty,
+            tStop: Set[Long] = Set.empty): (Map[Long, Int], Map[Long, Int]) = {
+    val ds = mutable.LongMap.empty[Int] ++= s.map(_ -> 0)
+    val dt = mutable.LongMap.empty[Int] ++= t.map(_ -> 0)
+    // Records the vertices of `found` not seen before as reached at `hop`,
+    // and returns those the next hop expands.
+    def reach(dist: mutable.LongMap[Int], found: Array[Long], stop: Set[Long], hop: Int): Set[Long] = {
+      val fresh = found.filterNot(dist.contains).toSet
+      fresh.foreach(dist(_) = hop)
+      fresh -- stop
     }
-    spark.createDataFrame(
-      spark.sparkContext.parallelize(
-        visited.toSeq.map { case (v, d) => Row(v, d) }, 4),
-      outSchema)
+    var (fwd, bwd) = (s.toSet -- sStop, t.toSet -- tStop)
+    var hop = 1
+    while (hop <= maxHops && (fwd.nonEmpty || bwd.nonEmpty)) {
+      val (f, b) = (fwd, bwd)
+      val found = edges.mapPartitions { it =>
+        val (succ, pred) = (mutable.HashSet.empty[Long], mutable.HashSet.empty[Long])
+        it.foreach { case (u, v) =>
+          if (f(u)) succ += v
+          if (b(v)) pred += u
+        }
+        Iterator((succ.toArray, pred.toArray))
+      }.collect()
+      fwd = reach(ds, found.flatMap(_._1), sStop, hop)
+      bwd = reach(dt, found.flatMap(_._2), tStop, hop)
+      hop += 1
+    }
+    (ds.toMap, dt.toMap)
   }
 
-  /** Driver-side map convenience (query generation, tests). */
+  /** Distances from `source` within `maxHops` hops, as a driver-side map. */
   def distanceMap(spark: SparkSession, edges: DataFrame, source: Long,
                   maxHops: Int, noExpand: Set[Long] = Set.empty): Map[Long, Int] =
-    distances(spark, edges, source, maxHops, noExpand)
-      .collect().map(r => r.getLong(0) -> r.getInt(1)).toMap
+    search(pairs(edges), Some(source), None, maxHops, sStop = noExpand)._1
+
+  /** [[distanceMap]] as a DataFrame `(v: Long, dist: Int)`. Distances *to*
+    * a target are obtained by passing `GraphGen.reverse(edges)`. */
+  def distances(spark: SparkSession, edges: DataFrame, source: Long,
+                maxHops: Int, noExpand: Set[Long] = Set.empty): DataFrame =
+    spark.createDataFrame(distanceMap(spark, edges, source, maxHops, noExpand).toSeq)
+      .toDF("v", "dist")
 }

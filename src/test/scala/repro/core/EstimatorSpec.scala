@@ -109,4 +109,13 @@ class EstimatorSpec extends ReproSpec {
     for (i <- 1 to q.k)
       assert(est.forward(i) == padded.map(_.take(i + 1)).distinct.size, s"level $i")
   }
+
+  test("cost sums throw on Long overflow instead of wrapping") {
+    val big = Long.MaxValue / 2 + 1
+    val est = DpEstimate(Seq(1L, big, big, big), Seq(big, 1L, 1L, 1L), 0.0)
+    assert(est.bestCut == 1)
+    assertThrows[ArithmeticException](est.tDfs)
+    assertThrows[ArithmeticException](est.tJoin)
+    assert(DpEstimate(Seq(1L, 2L, 3L, 1L), Seq(9L, 4L, 2L, 1L), 0.0).tDfs == 6)
+  }
 }

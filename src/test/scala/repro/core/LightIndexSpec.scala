@@ -6,6 +6,26 @@ class LightIndexSpec extends ReproSpec {
 
   private val q = HcQuery(1L, 2L, 4)
 
+  /** Builds the index of `q` on `pairs` and asserts that it has the
+    * reference's edges (with all four distances), vertex table and `dist`. */
+  private def assertReference(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex = {
+    val ref = RefGraph.Ref(pairs)
+    val dS = ref.ds(q.s, q.t, q.k); val dT = ref.dt(q.s, q.t, q.k)
+    val x = dS.keySet.intersect(dT.keySet)
+      .collect { case v if dS(v) + dT(v) <= q.k => v -> (dS(v), dT(v)) }.toMap
+    val want = ref.indexEdges(q.s, q.t, q.k)
+      .map { case (u, v) => (u, v, dS(u), dT(u), dS(v), dT(v)) }.toSet
+    val idx = LightIndex.build(spark, edgeDf(pairs), q)
+    assert(idx.dist == x)
+    val verts = idx.vertices.collect()
+      .map(r => r.getAs[Long]("v") -> (r.getAs[Int]("ds"), r.getAs[Int]("dt")))
+    assert(verts.length == x.size && verts.toMap == x)
+    val edges = idx.edges.collect().map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"),
+      r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"), r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt")))
+    assert(edges.length == idx.edgeCount && edges.toSet == want)
+    idx
+  }
+
   test("index on figure1 matches reference index edges") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
     try {
@@ -65,13 +85,33 @@ class LightIndexSpec extends ReproSpec {
 
   for ((name, pairs) <- TestGraphs.randomCases(5)) {
     test(s"index matches reference on $name") {
-      val idx = LightIndex.build(spark, edgeDf(pairs), HcQuery(1L, 2L, 5))
-      try {
-        val got = idx.edges.collect()
-          .map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
-        val want = RefGraph.Ref(pairs).indexEdges(1L, 2L, 5).toSet
-        assert(got == want)
-      } finally idx.unpersist()
+      assertReference(pairs, HcQuery(1L, 2L, 5))
     }
+  }
+
+  test("the only path has exactly k edges, so ds(t) = dt(s) = k") {
+    // 1 -> 3 -> 4 -> 5 -> 2, a dead branch 1 -> 6 -> 7 -> 8 and a back edge
+    val pairs = Seq((1L, 3L), (3L, 4L), (4L, 5L), (5L, 2L), (1L, 6L), (6L, 7L), (7L, 8L), (5L, 3L))
+    val idx = assertReference(pairs, q)
+    assert(idx.dist(2L) == (4, 0) && idx.dist(1L) == (0, 4))
+  }
+
+  test("a direct s-t edge with k = 2") {
+    assertReference(Seq((1L, 2L), (1L, 3L), (3L, 2L), (3L, 4L), (4L, 2L), (2L, 1L)),
+      HcQuery(1L, 2L, 2))
+  }
+
+  test("s or t missing from the graph, and t unreachable, give an empty index") {
+    for (pairs <- Seq(Seq((3L, 2L), (4L, 3L)), Seq((1L, 3L), (3L, 4L)),
+                      Seq((1L, 3L), (3L, 4L), (2L, 5L), (5L, 1L)))) {
+      val idx = assertReference(pairs, q)
+      assert(idx.edgeCount == 0 && idx.vertexCount == 0)
+    }
+  }
+
+  test("self-loops and duplicate edges") {
+    val pairs = Seq((1L, 1L), (1L, 3L), (1L, 3L), (3L, 3L), (3L, 2L), (3L, 2L), (2L, 2L),
+      (3L, 4L), (4L, 4L), (4L, 2L), (2L, 3L))
+    for (k <- 2 to 4) assertReference(pairs, HcQuery(1L, 2L, k))
   }
 }

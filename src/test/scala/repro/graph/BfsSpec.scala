@@ -71,4 +71,15 @@ class BfsSpec extends ReproSpec {
       assert(got == ref.bfs(2L, 6, noExpand = Set(1L), reverse = true))
     }
   }
+
+  for ((name, pairs) <- TestGraphs.randomCases(5); hops <- Seq(2, 5)) {
+    test(s"fused BFS matches reference ds and dt within $hops hops on $name") {
+      val ref = RefGraph.Ref(pairs)
+      val edges = Bfs.pairs(edgeDf(pairs))
+      val (ds, dt) = Bfs.search(edges, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L))
+      assert(ds == ref.bfs(1L, hops, noExpand = Set(2L)))
+      assert(dt == ref.bfs(2L, hops, noExpand = Set(1L), reverse = true))
+      assert(Bfs.search(edges, None, Some(2L), hops) == (Map.empty, ref.bfs(2L, hops, reverse = true)))
+    }
+  }
 }
