@@ -3,16 +3,20 @@ package repro.jobs
 import org.apache.spark.sql.SparkSession
 import repro.bench.BenchTables
 
-/** Shared session bootstrap for the spark-submit entrypoints. */
+/** The one Spark session recipe: the spark-submit entrypoints, the tests
+  * and the benchmark all build their session here. `SPARK_MASTER` (default
+  * `local[*]`) is the deployment setting.
+  */
 object JobSession {
   def session(name: String): SparkSession = {
     val s = SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.shuffle.partitions",
-        sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "8"))
-      .config("spark.sql.adaptive.coalescePartitions.enabled", "false")
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      // The query path runs no shuffle. The graph generators' `distinct`
+      // and `orderBy` do, and on graphs this small Spark's default of 200
+      // partitions costs more than it spreads: `TablesJob 2` took 56-58 s
+      // with it and 38-47 s with 8 (4 cores).
+      .config("spark.sql.shuffle.partitions", 8)
       .getOrCreate()
     s.sparkContext.setLogLevel("WARN")
     s

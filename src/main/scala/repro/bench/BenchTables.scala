@@ -7,18 +7,18 @@ import scala.collection.mutable
 /** Computes and formats the evaluation tables (Tables 2-7). Shared by the
   * bench suites (`sbt "bench/test"`) and the spark-submit jobs in `jobs/`.
   *
-  * Protocol scaling versus the paper (documented in DESIGN.md): per-query
-  * budget defaults to 10 s instead of 120 s, and the Table 4/5 buckets
-  * scale accordingly (<60 s → < budget/2, >120 s → timed out). Query counts
-  * default to 2 per graph and 3 per sweep point (paper: 1000) — means over
-  * a seeded sample.
+  * Protocol scaling versus the paper (documented in DESIGN.md): the
+  * per-query budget is `EnumConfig`'s 10 s instead of 120 s, and the
+  * Table 4/5 buckets scale accordingly (<60 s → < budget/2, >120 s → timed
+  * out). Query counts default to 2 per graph and 3 per sweep point (paper:
+  * 1000) — means over a seeded sample.
   */
 object BenchTables {
 
   private def sci(d: Double): String = if (d.isNaN) "n/a" else f"$d%.2e"
   private def mean(xs: Seq[Double]): Double = if (xs.isEmpty) Double.NaN else xs.sum / xs.size
 
-  def cfg(): EnumConfig = EnumConfig(timeBudgetMs = Runner.defaultBudgetMs)
+  val cfg: EnumConfig = EnumConfig()
 
   // ---------------------------------------------------------------- Table 2
   def table2(spark: SparkSession): String = {
@@ -38,15 +38,14 @@ object BenchTables {
                          anyTimeout: Boolean, resultsConsistent: Boolean)
 
   def table3Rows(spark: SparkSession, k: Int = 6,
-                 nQueries: Int = Runner.defaultBenchQueries): Seq[T3Row] = {
-    val c = cfg()
+                 nQueries: Int = 2): Seq[T3Row] = {
     for (spec <- GraphSuite.specs if spec.inTable3) yield {
       val edges = GraphSuite.edges(spark, spec)
       val qs = QueryGen.queries(spark, edges, nQueries, seed = 1000 + spec.seed)
       Console.err.println(s"[table3] ${spec.name}: ${qs.size} queries generated")
       val byAlgo = Runner.algos.map { a =>
         a -> qs.map { case (s, t) =>
-          val m = Runner.run(spark, spec.name, edges, a, HcQuery(s, t, k), c)
+          val m = Runner.run(spark, spec.name, edges, a, HcQuery(s, t, k), cfg)
           Console.err.println(f"[table3] ${spec.name}/$a q($s,$t): ${m.queryTimeMs}%.0f ms, " +
             s"${m.results} results${if (m.timedOut) " (timeout)" else ""}")
           m
@@ -70,13 +69,13 @@ object BenchTables {
   }
 
   def table3(spark: SparkSession, k: Int = 6,
-             nQueries: Int = Runner.defaultBenchQueries): String =
+             nQueries: Int = 2): String =
     formatTable3(table3Rows(spark, k, nQueries), k, nQueries)
 
   def formatTable3(rows: Seq[T3Row], k: Int = 6,
-                   nQueries: Int = Runner.defaultBenchQueries): String = {
+                   nQueries: Int = 2): String = {
     val sb = new StringBuilder
-    sb ++= s"Table 3: Overall comparison, k=$k, $nQueries queries/graph, budget ${Runner.defaultBudgetMs} ms.\n"
+    sb ++= s"Table 3: Overall comparison, k=$k, $nQueries queries/graph, budget ${cfg.timeBudgetMs} ms.\n"
     sb ++= s"(* = timed out on >20% of queries)\n"
     val a = Runner.algos
     sb ++= f"${"Graph"}%-6s| ${"Query Time (ms)"}%-55s| ${"Throughput (res/s)"}%-55s| Response (ms)\n"
@@ -97,10 +96,9 @@ object BenchTables {
   def sweep(spark: SparkSession, graphs: Seq[String] = Seq("ep", "gg"),
             ks: Seq[Int] = 3 to 8,
             algos: Seq[String] = Seq("BC-DFS", "IDX-DFS", "IDX-JOIN"),
-            nQueries: Int = Runner.defaultSweepQueries): Seq[QueryMetrics] = synchronized {
+            nQueries: Int = 3): Seq[QueryMetrics] = synchronized {
     val key = s"${graphs.mkString(",")}|${ks.mkString(",")}|${algos.mkString(",")}|$nQueries"
     sweepCache.getOrElseUpdate(key, {
-      val c = cfg()
       for {
         g <- graphs
         spec = GraphSuite.spec(g)
@@ -110,7 +108,7 @@ object BenchTables {
         algo <- algos
         (s, t) <- qs
       } yield {
-        val m = Runner.run(spark, g, edges, algo, HcQuery(s, t, k), c)
+        val m = Runner.run(spark, g, edges, algo, HcQuery(s, t, k), cfg)
         Console.err.println(f"[sweep] $g/$algo k=$k q($s,$t): ${m.queryTimeMs}%.0f ms, " +
           s"${m.results} results${if (m.timedOut) " (timeout)" else ""}")
         m
@@ -121,7 +119,7 @@ object BenchTables {
   // ---------------------------------------------------------------- Table 4
   def table4(spark: SparkSession): String = {
     val ms = sweep(spark).filter(m => m.algo == "BC-DFS" || m.algo == "IDX-DFS")
-    val budget = Runner.defaultBudgetMs.toDouble
+    val budget = cfg.timeBudgetMs.toDouble
     val sb = new StringBuilder
     sb ++= s"Table 4: Query time distribution on ep and gg (paper buckets <60s/>120s scale to\n"
     sb ++= f"<${budget / 2 / 1000}%.1fs (half budget) / timed-out at ${budget / 1000}%.1fs).\n"
@@ -144,7 +142,7 @@ object BenchTables {
 
   // ---------------------------------------------------------------- Table 5
   def table5(spark: SparkSession): String = {
-    val budget = Runner.defaultBudgetMs.toDouble
+    val budget = cfg.timeBudgetMs.toDouble
     val ms = sweep(spark).filter(m =>
       m.graph == "ep" && m.k == 8 && (m.algo == "BC-DFS" || m.algo == "IDX-DFS"))
     val sb = new StringBuilder

@@ -58,9 +58,4 @@ object GraphSuite {
       df
     })
   }
-
-  def clear(): Unit = synchronized {
-    cache.values.foreach(_.unpersist(blocking = false))
-    cache.clear()
-  }
 }

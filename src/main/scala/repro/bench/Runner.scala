@@ -47,12 +47,4 @@ object Runner {
       r.enum.timedOut, r.indexEdges, r.indexBytes, r.enum.peakPartialCells,
       r.planInfo.plan)
   }
-
-  /** Env-tunable defaults, documented in DESIGN.md. */
-  def defaultBudgetMs: Long =
-    sys.env.get("REPRO_TIME_BUDGET_MS").map(_.toLong).getOrElse(10000L)
-  def defaultBenchQueries: Int =
-    sys.env.get("REPRO_BENCH_QUERIES").map(_.toInt).getOrElse(2)
-  def defaultSweepQueries: Int =
-    sys.env.get("REPRO_SWEEP_QUERIES").map(_.toInt).getOrElse(3)
 }

@@ -8,9 +8,12 @@ import org.apache.spark.sql.DataFrame
   * so the paper's `I_t(v, b)` is the prefix of `first(v) until end(v)`
   * with `dt <= b`.
   *
+  * This is the program's one normalisation point for multigraph input.
   * There is one slot per distinct `(src, dst, attr)` row: parallel entries
-  * collapse, so a multigraph input yields each path once. `attr` is the
-  * per-edge value of the Appendix E variants, `Unit` for the plain engines.
+  * collapse, so a multigraph input yields each path once. Self-loops stay
+  * as slots: the DP ([[Estimator]]) counts them, as walks, and the search's
+  * on-path test ([[LeftDeepEnum.dfs]]) skips them. `attr` is the per-edge
+  * value of the Appendix E variants, `Unit` for the plain engines.
   */
 final class Adjacency[A] private (
     val ids: Array[Long],      // vertex number -> vertex id, ascending

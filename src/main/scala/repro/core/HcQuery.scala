@@ -8,7 +8,8 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
   require(k >= 2, s"the paper assumes k >= 2 (got $k)")
 }
 
-/** Runtime knobs for one enumeration run.
+/** The settings of one enumeration run. With the optimizer's τ (a
+  * parameter of `PathEnum.run`) they are all the program's settings.
   *
   * @param timeBudgetMs  wall-clock cap on enumeration, checked at every
   *                      search node (the paper caps each query at 120 s;
@@ -22,19 +23,13 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
   *                      when it is reached, so the results are a
   *                      deterministic DFS-order prefix. Hitting the cap
   *                      marks the run timed out / truncated, like the
-  *                      paper's 120 s kill. Env default:
-  *                      REPRO_MAX_LEVEL_ROWS.
+  *                      paper's 120 s kill.
   */
 final case class EnumConfig(
     timeBudgetMs: Long = 10000L,
     responseTarget: Long = 1000L,
     collectPaths: Boolean = false,
-    maxLevelRows: Int = EnumConfig.defaultMaxLevelRows)
-
-object EnumConfig {
-  val defaultMaxLevelRows: Int =
-    sys.env.get("REPRO_MAX_LEVEL_ROWS").map(_.toInt).getOrElse(200000)
-}
+    maxLevelRows: Int = 200000)
 
 /** Outcome of one enumeration run.
   *

@@ -20,8 +20,8 @@ import repro.graph.Bfs
   * the edges with dt-sorted neighbors, so `I_t(v, b)` is a prefix scan,
   * and `dist` holds `(ds, dt)` per vertex of X, so `I(i)` (C_i) is the
   * vertices with `ds <= i && dt <= k - i`. [[Estimator]], [[LeftDeepEnum]]
-  * and [[JoinEnum]] run over that form. `edges` and `vertices` give the
-  * same index as DataFrames, built on demand from it.
+  * and [[JoinEnum]] run over that form. `edges` gives the same index as a
+  * DataFrame, built on demand from it.
   */
 final case class LightIndex(
     spark: SparkSession,
@@ -49,10 +49,6 @@ final case class LightIndex(
     }
     spark.createDataFrame(rows).toDF("src", "dst", "srcDs", "srcDt", "dstDs", "dstDt")
   }
-
-  /** The vertex table `(v, ds, dt)`, restricted to `ds + dt <= k`. */
-  def vertices: DataFrame =
-    spark.createDataFrame(dist.toSeq.map { case (v, (ds, dt)) => (v, ds, dt) }).toDF("v", "ds", "dt")
 
   /** Nothing is cached on Spark: the index lives on the driver. */
   def unpersist(): Unit = ()

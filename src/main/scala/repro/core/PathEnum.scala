@@ -34,21 +34,17 @@ final case class PathEnumResult(
   * full-fledged DP (Alg. 5) produces exact walk-count cardinalities, the
   * best cut i*, and the Eq.-1 costs T_DFS / T_JOIN; the cheaper plan runs.
   *
-  * τ defaults to `REPRO_TAU` (1e4): calibrated like the paper's 1e5 — the
-  * time our substrate needs to find τ results is comparable to the
-  * optimization time, so skipping optimization below τ never hurts.
+  * τ is 1e4 unless the caller passes another: calibrated like the paper's
+  * 1e5 — the time our substrate needs to find τ results is comparable to
+  * the optimization time, so skipping optimization below τ never hurts.
   */
 object PathEnum {
 
-  val defaultTau: Double = sys.env.get("REPRO_TAU").map(_.toDouble).getOrElse(1e4)
+  val defaultTau: Double = 1e4
 
   def run(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
-          cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult =
-    runOnIndex(spark, LightIndex.build(spark, graphEdges, q), q, cfg, tau)
-
-  /** Run with a pre-built index (benches reuse the index across variants). */
-  def runOnIndex(spark: SparkSession, index: LightIndex, q: HcQuery,
-                 cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult = {
+          cfg: EnumConfig = EnumConfig(), tau: Double = defaultTau): PathEnumResult = {
+    val index = LightIndex.build(spark, graphEdges, q)
     val tOpt0 = System.nanoTime()
     val tHat = Estimator.preliminary(spark, index)
     val dp = if (tHat <= tau) None else Some(Estimator.full(spark, index))

@@ -52,17 +52,6 @@ object GraphGen {
       .drop("h")
   }
 
-  /** Uniform digraph: both endpoints uniform over `[1, n]`. */
-  def uniform(spark: SparkSession, nVertices: Long, nEdgesTarget: Long,
-              seed: Long = 11): DataFrame = {
-    spark.range(nEdgesTarget)
-      .select(
-        (rand(seed) * nVertices + 1).cast(LongType).as("src"),
-        (rand(seed + 1) * nVertices + 1).cast(LongType).as("dst"))
-      .where(col("src") =!= col("dst"))
-      .distinct()
-  }
-
   /** Reverse every edge (the paper's G^r). */
   def reverse(edges: DataFrame): DataFrame =
     edges.select(col("dst").as("src"), col("src").as("dst"))

@@ -3,8 +3,9 @@ package repro
 import repro.core.{EnumConfig, HcQuery, LeftDeepEnum, LightIndex, PathEnum}
 
 /** Result-correctness tests backed by the DuckDB oracle: the same edge
-  * table is enumerated by a recursive CTE in DuckDB and diffed against the
-  * Spark result via [[Oracle.assertEquivalent]].
+  * table is enumerated by a recursive CTE in DuckDB and diffed, via
+  * [[Oracle.assertEquivalent]], against a DataFrame of the paths the
+  * program returns.
   */
 class OracleIntegrationSpec extends ReproSpec {
 
@@ -25,13 +26,10 @@ class OracleIntegrationSpec extends ReproSpec {
   private def check(pairs: Seq[(Long, Long)], q: HcQuery): Unit = {
     import spark.implicits._
     val edges = edgeDf(pairs)
-    val idx = LightIndex.build(spark, edges, q)
-    try {
-      val r = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
-        EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-      val got = r.paths.get.map(_.mkString(">")).toDF("path")
-      Oracle.assertEquivalent(got, duckSql(q.s, q.t, q.k), "edges" -> edges)
-    } finally idx.unpersist()
+    val r = LeftDeepEnum.search(LightIndex.build(spark, edges, q).local, q,
+      EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
+    val got = r.paths.get.map(_.mkString(">")).toDF("path")
+    Oracle.assertEquivalent(got, duckSql(q.s, q.t, q.k), "edges" -> edges)
   }
 
   test("oracle agrees on the layered DAG") { check(TestGraphs.layered, HcQuery(1L, 2L, 4)) }

@@ -3,20 +3,8 @@ package repro
 import org.apache.spark.sql.DataFrame
 import repro.graph.GraphGen
 
-/** Base for this repo's suites: SparkSpec plus small-data tuning and
-  * reference-vs-Spark helpers.
-  */
+/** Base for this repo's suites: SparkSpec plus reference-vs-Spark helpers. */
 trait ReproSpec extends SparkSpec {
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    // Small shuffle fan-out (graphs are modest), but keep real parallelism:
-    // AQE's partition coalescing folds our sub-64MB shuffles into a single
-    // partition and serializes every join onto one core.
-    spark.conf.set("spark.sql.shuffle.partitions", "8")
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-    spark.sparkContext.setLogLevel("WARN")
-  }
 
   def edgeDf(pairs: Seq[(Long, Long)]): DataFrame =
     GraphGen.fromPairs(spark, pairs)
@@ -45,6 +33,12 @@ object TestGraphs {
   // flavor): s=1, t=2, s->3->t, 3<->4 cycle.
   val cyclic: Seq[(Long, Long)] = Seq(
     (1L, 3L), (3L, 2L), (3L, 4L), (4L, 3L), (4L, 5L), (5L, 4L))
+
+  // A multigraph with a self-loop at s, at t and at interior vertices, and
+  // parallel edges: s=1, t=2.
+  val selfLoops: Seq[(Long, Long)] = Seq(
+    (1L, 1L), (1L, 3L), (1L, 3L), (3L, 3L), (3L, 2L), (3L, 2L), (2L, 2L),
+    (3L, 4L), (4L, 4L), (4L, 2L), (2L, 3L))
 
   // Figure 1 flavor: multiple path lengths from s=1 to t=2, a vertex (9)
   // outside every result, and shortcut edges.

@@ -30,13 +30,18 @@ class RunnerSpec extends ReproSpec {
   }
 
   test("a parallel edge yields its path once in all five algorithms and the DP") {
-    val pairs = Seq((1L, 3L), (1L, 3L), (3L, 2L))
-    val q = HcQuery(1L, 2L, 3)
-    for (a <- Runner.algos)
-      assert(Runner.run(spark, "multi", edgeDf(pairs), a, q, cfg).results == 1, a)
-    val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    try assert(Estimator.full(spark, idx).forward(3) == RefGraph.Ref(pairs).walks(1L, 2L, 3).size)
-    finally idx.unpersist()
+    // The walk counts include the self-loops: `Adjacency` keeps them as
+    // slots that the DP counts and the search's on-path test skips.
+    val cases = (HcQuery(1L, 2L, 3) -> Seq((1L, 3L), (1L, 3L), (3L, 2L))) +:
+      (2 to 5).map(k => HcQuery(1L, 2L, k) -> TestGraphs.selfLoops)
+    for ((q, pairs) <- cases) {
+      val ref = RefGraph.Ref(pairs)
+      for (a <- Runner.algos)
+        assert(Runner.run(spark, "multi", edgeDf(pairs), a, q, cfg).results ==
+          ref.paths(q.s, q.t, q.k).size, s"$a $q")
+      val idx = LightIndex.build(spark, edgeDf(pairs), q)
+      assert(Estimator.full(spark, idx).forward(q.k) == ref.walks(q.s, q.t, q.k).size, s"$q")
+    }
   }
 
   test("unknown algorithm is rejected") {

@@ -4,10 +4,8 @@ import repro.{RefGraph, ReproSpec, TestGraphs}
 
 class EstimatorSpec extends ReproSpec {
 
-  private def dp(pairs: Seq[(Long, Long)], q: HcQuery): DpEstimate = {
-    val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    try Estimator.full(spark, idx) finally idx.unpersist()
-  }
+  private def dp(pairs: Seq[(Long, Long)], q: HcQuery): DpEstimate =
+    Estimator.full(spark, LightIndex.build(spark, edgeDf(pairs), q))
 
   test("DP totals equal the padded walk count (layered)") {
     val q = HcQuery(1L, 2L, 4)
@@ -71,12 +69,10 @@ class EstimatorSpec extends ReproSpec {
     val q = HcQuery(1L, 2L, 4)
     val sparseIdx = LightIndex.build(spark, edgeDf(TestGraphs.cyclic), q)
     val denseIdx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
-    try {
-      val sparse = Estimator.preliminary(spark, sparseIdx)
-      val dense = Estimator.preliminary(spark, denseIdx)
-      assert(sparse >= 0 && dense >= 0)
-      assert(dense > sparse, s"layered ($dense) should dwarf cyclic ($sparse)")
-    } finally { sparseIdx.unpersist(); denseIdx.unpersist() }
+    val sparse = Estimator.preliminary(spark, sparseIdx)
+    val dense = Estimator.preliminary(spark, denseIdx)
+    assert(sparse >= 0 && dense >= 0)
+    assert(dense > sparse, s"layered ($dense) should dwarf cyclic ($sparse)")
   }
 
   test("preliminary estimate is exact on a layered DAG") {
@@ -84,21 +80,18 @@ class EstimatorSpec extends ReproSpec {
     // exact: level sizes 2, 4, 8, 8 -> 22 partials.
     val q = HcQuery(1L, 2L, 4)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
-    try {
-      val est = Estimator.preliminary(spark, idx)
-      val walks = RefGraph.Ref(TestGraphs.layered).walks(1L, 2L, 4)
-      // Σ_i |M̃_i| for the layered DAG: prefixes of padded walks per level.
-      val padded = walks.map(w => w ++ List.fill(q.k + 1 - w.size)(2L))
-      val sums = (1 to q.k).map(i => padded.map(_.take(i + 1)).distinct.size).sum
-      assert(math.abs(est - sums) / sums < 0.35, s"est=$est actual=$sums")
-    } finally idx.unpersist()
+    val est = Estimator.preliminary(spark, idx)
+    val walks = RefGraph.Ref(TestGraphs.layered).walks(1L, 2L, 4)
+    // Σ_i |M̃_i| for the layered DAG: prefixes of padded walks per level.
+    val padded = walks.map(w => w ++ List.fill(q.k + 1 - w.size)(2L))
+    val sums = (1 to q.k).map(i => padded.map(_.take(i + 1)).distinct.size).sum
+    assert(math.abs(est - sums) / sums < 0.35, s"est=$est actual=$sums")
   }
 
   test("empty index estimates zero") {
     val q = HcQuery(1L, 2L, 3)
     val idx = LightIndex.build(spark, edgeDf(Seq((1L, 5L), (6L, 2L))), q)
-    try assert(Estimator.preliminary(spark, idx) == 0.0)
-    finally idx.unpersist()
+    assert(Estimator.preliminary(spark, idx) == 0.0)
   }
 
   test("DP forward levels equal distinct padded prefixes (layered)") {

@@ -4,12 +4,10 @@ import repro.{RefGraph, ReproSpec, TestGraphs}
 
 class JoinEnumSpec extends ReproSpec {
 
-  private def idxJoin(pairs: Seq[(Long, Long)], q: HcQuery, cut: Int): EnumResult = {
-    val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    try JoinEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cut,
-      EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-    finally idx.unpersist()
-  }
+  private val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true)
+
+  private def idxJoin(pairs: Seq[(Long, Long)], q: HcQuery, cut: Int): EnumResult =
+    JoinEnum.search(LightIndex.build(spark, edgeDf(pairs), q).local, q, cut, cfg)
 
   test("layered DAG at middle cut") {
     val r = idxJoin(TestGraphs.layered, HcQuery(1L, 2L, 4), 2)
@@ -57,16 +55,25 @@ class JoinEnumSpec extends ReproSpec {
   test("join result matches DFS result on the same index") {
     val q = HcQuery(1L, 2L, 5)
     val pairs = TestGraphs.randomCases(1, n = 10, e = 28).head._2
-    val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    try {
-      val dfs = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
-        EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-      for (cut <- 1 until q.k) {
-        val j = JoinEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cut,
-          EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-        assert(pathSet(j) == pathSet(dfs), s"cut=$cut")
-      }
-    } finally idx.unpersist()
+    val g = LightIndex.build(spark, edgeDf(pairs), q).local
+    val dfs = LeftDeepEnum.search(g, q, cfg)
+    for (cut <- 1 until q.k)
+      assert(pathSet(JoinEnum.search(g, q, cut, cfg)) == pathSet(dfs), s"cut=$cut")
+  }
+
+  for ((name, pairs, k) <- Seq(("figure1", TestGraphs.figure1, 4),
+                               ("random-1", TestGraphs.randomCases(1).head._2, 5))) {
+    test(s"the DataFrame entry points equal the search on the collected index ($name)") {
+      val q = HcQuery(1L, 2L, k)
+      val idx = LightIndex.build(spark, edgeDf(pairs), q)
+      val rel = LeftDeepEnum.indexRelation(idx)
+      def same(a: EnumResult, b: EnumResult): Boolean =
+        a.results == b.results && a.perLevel == b.perLevel && a.paths == b.paths
+      assert(same(LeftDeepEnum.run(spark, rel, q, cfg), LeftDeepEnum.search(idx.local, q, cfg)))
+      for (cut <- 1 until k)
+        assert(same(JoinEnum.run(spark, rel, q, cut, cfg), JoinEnum.search(idx.local, q, cut, cfg)),
+          s"cut=$cut")
+    }
   }
 
   for ((name, pairs) <- TestGraphs.randomCases(6, n = 11, e = 26)) {

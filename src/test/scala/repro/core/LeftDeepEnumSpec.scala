@@ -4,12 +4,9 @@ import repro.{RefGraph, ReproSpec, TestGraphs}
 
 class LeftDeepEnumSpec extends ReproSpec {
 
-  private def idxDfs(pairs: Seq[(Long, Long)], q: HcQuery): EnumResult = {
-    val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    try LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
+  private def idxDfs(pairs: Seq[(Long, Long)], q: HcQuery): EnumResult =
+    LeftDeepEnum.search(LightIndex.build(spark, edgeDf(pairs), q).local, q,
       EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
-    finally idx.unpersist()
-  }
 
   test("layered DAG: all 8 length-4 paths found") {
     val r = idxDfs(TestGraphs.layered, HcQuery(1L, 2L, 4))
@@ -71,28 +68,22 @@ class LeftDeepEnumSpec extends ReproSpec {
   test("timeout reports partial progress") {
     val q = HcQuery(1L, 2L, 4)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
-    try {
-      val r = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
-        EnumConfig(timeBudgetMs = 0))
-      assert(r.timedOut)
-    } finally idx.unpersist()
+    assert(LeftDeepEnum.search(idx.local, q, EnumConfig(timeBudgetMs = 0)).timedOut)
   }
 
   test("row cap cuts a repeatable prefix of the results") {
     val q = HcQuery(1L, 2L, 4)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
-    try {
-      val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true, maxLevelRows = 3)
-      val r = LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cfg)
-      val want = RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4)
-      assert(r.results == 3 && r.timedOut)
-      assert(pathSet(r).subsetOf(want))
-      assert(LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q, cfg).paths == r.paths)
-      // The first 3 in DFS order: neighbours by dt, then id, which on this
-      // DAG is the lexicographic order.
-      assert(r.paths.get.map(_.toList) ==
-        want.toList.sorted(Ordering.Implicits.seqOrdering[List, Long]).take(3))
-    } finally idx.unpersist()
+    val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true, maxLevelRows = 3)
+    val r = LeftDeepEnum.search(idx.local, q, cfg)
+    val want = RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4)
+    assert(r.results == 3 && r.timedOut)
+    assert(pathSet(r).subsetOf(want))
+    assert(LeftDeepEnum.search(idx.local, q, cfg).paths == r.paths)
+    // The first 3 in DFS order: neighbours by dt, then id, which on this
+    // DAG is the lexicographic order.
+    assert(r.paths.get.map(_.toList) ==
+      want.toList.sorted(Ordering.Implicits.seqOrdering[List, Long]).take(3))
   }
 
   test("responseMs set when run completes") {

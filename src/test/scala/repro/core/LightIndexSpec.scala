@@ -7,7 +7,7 @@ class LightIndexSpec extends ReproSpec {
   private val q = HcQuery(1L, 2L, 4)
 
   /** Builds the index of `q` on `pairs` and asserts that it has the
-    * reference's edges (with all four distances), vertex table and `dist`. */
+    * reference's edges (with all four distances) and vertex table `dist`. */
   private def assertReference(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex = {
     val ref = RefGraph.Ref(pairs)
     val dS = ref.ds(q.s, q.t, q.k); val dT = ref.dt(q.s, q.t, q.k)
@@ -17,9 +17,6 @@ class LightIndexSpec extends ReproSpec {
       .map { case (u, v) => (u, v, dS(u), dT(u), dS(v), dT(v)) }.toSet
     val idx = LightIndex.build(spark, edgeDf(pairs), q)
     assert(idx.dist == x)
-    val verts = idx.vertices.collect()
-      .map(r => r.getAs[Long]("v") -> (r.getAs[Int]("ds"), r.getAs[Int]("dt")))
-    assert(verts.length == x.size && verts.toMap == x)
     val edges = idx.edges.collect().map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"),
       r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"), r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt")))
     assert(edges.length == idx.edgeCount && edges.toSet == want)
@@ -28,59 +25,50 @@ class LightIndexSpec extends ReproSpec {
 
   test("index on figure1 matches reference index edges") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    try {
-      val got = idx.edges.collect()
-        .map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
-      val want = RefGraph.Ref(TestGraphs.figure1).indexEdges(1L, 2L, 4).toSet
-      assert(got == want)
-    } finally idx.unpersist()
+    val got = idx.edges.collect()
+      .map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
+    val want = RefGraph.Ref(TestGraphs.figure1).indexEdges(1L, 2L, 4).toSet
+    assert(got == want)
   }
 
   test("index drops vertices outside every result") {
     // vertex 9 (edge into s) and dead-end 7,8 cannot appear in any result
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    try {
-      val verts = idx.edges.collect()
-        .flatMap(r => Seq(r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
-      assert(!verts.contains(9L))
-      assert(!verts.contains(7L))
-      assert(!verts.contains(8L))
-    } finally idx.unpersist()
+    val verts = idx.edges.collect()
+      .flatMap(r => Seq(r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
+    assert(!verts.contains(9L))
+    assert(!verts.contains(7L))
+    assert(!verts.contains(8L))
   }
 
   test("every index edge satisfies the Alg. 3 conditions") {
     val ref = RefGraph.Ref(TestGraphs.figure1)
     val dS = ref.ds(1L, 2L, 4); val dT = ref.dt(1L, 2L, 4)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    try {
-      idx.edges.collect().foreach { r =>
-        val src = r.getAs[Long]("src"); val dst = r.getAs[Long]("dst")
-        val (srcDs, srcDt, dstDs, dstDt) = (r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"),
-          r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt"))
-        assert(dS(src) == srcDs && dT(src) == srcDt, s"distances wrong for $src")
-        assert(dS(dst) == dstDs && dT(dst) == dstDt, s"distances wrong for $dst")
-        assert(srcDs + srcDt <= q.k && dstDs + dstDt <= q.k && srcDs + dstDt + 1 <= q.k)
-        assert(src != q.t)
-      }
-      // The vertex table is X = {v : ds + dt <= k}, so C_0 = {s} and t is
-      // in C_k (Prop. 4.3).
-      val wantVerts = dS.keySet.intersect(dT.keySet)
-        .collect { case v if dS(v) + dT(v) <= q.k => (v, dS(v), dT(v)) }
-      assert(idx.vertices.collect()
-        .map(r => (r.getAs[Long]("v"), r.getAs[Int]("ds"), r.getAs[Int]("dt"))).toSet == wantVerts)
-    } finally idx.unpersist()
+    idx.edges.collect().foreach { r =>
+      val src = r.getAs[Long]("src"); val dst = r.getAs[Long]("dst")
+      val (srcDs, srcDt, dstDs, dstDt) = (r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"),
+        r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt"))
+      assert(dS(src) == srcDs && dT(src) == srcDt, s"distances wrong for $src")
+      assert(dS(dst) == dstDs && dT(dst) == dstDt, s"distances wrong for $dst")
+      assert(srcDs + srcDt <= q.k && dstDs + dstDt <= q.k && srcDs + dstDt + 1 <= q.k)
+      assert(src != q.t)
+    }
+    // The vertex table is X = {v : ds + dt <= k}, so C_0 = {s} and t is
+    // in C_k (Prop. 4.3).
+    val wantVerts = dS.keySet.intersect(dT.keySet)
+      .collect { case v if dS(v) + dT(v) <= q.k => (v, dS(v), dT(v)) }
+    assert(idx.dist.map { case (v, (ds, dt)) => (v, ds, dt) }.toSet == wantVerts)
   }
 
   test("index never has more edges than the graph") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    try assert(idx.edgeCount <= TestGraphs.figure1.size)
-    finally idx.unpersist()
+    assert(idx.edgeCount <= TestGraphs.figure1.size)
   }
 
   test("memoryBytes counts edge and vertex cells") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
-    try assert(idx.memoryBytes == idx.edgeCount * 48 + idx.vertexCount * 24)
-    finally idx.unpersist()
+    assert(idx.memoryBytes == idx.edgeCount * 48 + idx.vertexCount * 24)
   }
 
   for ((name, pairs) <- TestGraphs.randomCases(5)) {
@@ -110,8 +98,6 @@ class LightIndexSpec extends ReproSpec {
   }
 
   test("self-loops and duplicate edges") {
-    val pairs = Seq((1L, 1L), (1L, 3L), (1L, 3L), (3L, 3L), (3L, 2L), (3L, 2L), (2L, 2L),
-      (3L, 4L), (4L, 4L), (4L, 2L), (2L, 3L))
-    for (k <- 2 to 4) assertReference(pairs, HcQuery(1L, 2L, k))
+    for (k <- 2 to 4) assertReference(TestGraphs.selfLoops, HcQuery(1L, 2L, k))
   }
 }

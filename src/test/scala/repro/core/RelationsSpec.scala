@@ -69,11 +69,9 @@ class RelationsSpec extends ReproSpec {
     val q = HcQuery(1L, 2L, 4)
     val viaReducer = evalPaths(TestGraphs.cyclic, q, reduce = true)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.cyclic), q)
-    try {
-      val viaIndex = pathSet(LeftDeepEnum.run(spark, LeftDeepEnum.indexRelation(idx), q,
-        EnumConfig(timeBudgetMs = 300000L, collectPaths = true)))
-      assert(viaReducer == viaIndex)
-    } finally idx.unpersist()
+    val viaIndex = pathSet(LeftDeepEnum.search(idx.local, q,
+      EnumConfig(timeBudgetMs = 300000L, collectPaths = true)))
+    assert(viaReducer == viaIndex)
   }
 
   for ((name, pairs) <- TestGraphs.randomCases(4)) {
