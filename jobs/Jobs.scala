@@ -8,8 +8,8 @@ import repro.bench.BenchTables
   * `local[*]`) is the deployment setting.
   */
 object JobSession {
-  def session(name: String): SparkSession = {
-    val s = SparkSession.builder
+  def session(name: String): SparkSession =
+    SparkSession.builder
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       // The query path runs no shuffle. The graph generators' `distinct`
@@ -17,10 +17,10 @@ object JobSession {
       // partitions costs more than it spreads: `TablesJob 2` took 56-58 s
       // with it and 38-47 s with 8 (4 cores).
       .config("spark.sql.shuffle.partitions", 8)
+      // Set before the context starts, so its start-up INFO lines are not
+      // printed either.
+      .config("spark.log.level", "WARN")
       .getOrCreate()
-    s.sparkContext.setLogLevel("WARN")
-    s
-  }
 }
 
 /** Evaluation tables 2-7, one per run:

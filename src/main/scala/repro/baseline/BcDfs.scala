@@ -27,7 +27,7 @@ object BcDfs {
     * k jobs in all. */
   private def rows(graphEdges: DataFrame, q: HcQuery): Seq[(Long, Long, Int)] = {
     val edges = Bfs.pairs(graphEdges)
-    val b = Bfs.search(edges, None, Some(q.t), q.k - 1)._2
+    val b = Bfs.search(Bfs.sparkHop(edges), None, Some(q.t), q.k - 1)._2
     edges.mapPartitions(_.flatMap { case (u, v) =>
       if (u == q.t) None else b.get(v).map((u, v, _))
     }).collect().toSeq

@@ -57,36 +57,61 @@ final case class LightIndex(
 object LightIndex {
 
   /** Build the index for `q` over `graphEdges` (columns `src`, `dst`): at
-    * most k Spark jobs. */
+    * most ⌈k/2⌉ Spark jobs (see [[collect]]). */
   def build(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): LightIndex =
     collect(spark, graphEdges, q, Nil)(_ => ())._1
 
   /** Builds the index for `q` and collects its edges `(src, dst, dt(dst),
     * attr(row))`, where `row` is `(src, dst, attrs...)` of `graphEdges`.
     *
-    * The fused BFS ([[Bfs.search]]) runs k − 1 hops: a vertex other than `t`
-    * with `ds = k` has `dt >= 1`, so it is not in X, and likewise a vertex
-    * other than `s` with `dt = k`. One more job over the same edges checks
-    * the conditions above in the task and returns only index edges. `s` and
-    * `t` skip the X check there, because the edge condition implies it; the
-    * driver then takes `ds(t)` as the least `ds(u) + 1` over the index
-    * edges `(u, t)`, and `dt(s)` as the least `dt(v) + 1` over `(s, v)`.
+    * The two searches meet in the middle. The fused BFS ([[Bfs.search]]
+    * with [[Bfs.sparkHop]]) runs only j = ⌊(k − 1)/2⌋ hops. Call `lbS(v)`
+    * its `ds(v)` and `lbT(v)` its `dt(v)`, or j + 1 where it did not reach
+    * `v`: both are lower bounds of the true distances. One more job over
+    * the same edges returns the *candidate* edges `(u, v)` with `u != t`,
+    * `v != s` and `lbS(u) + 1 + lbT(v) <= k`: ⌈k/2⌉ jobs in all. j is the
+    * least radius at which an edge between two unreached vertices fails
+    * that test (2(j + 1) + 1 > k), so it follows from k.
+    *
+    * The driver then finishes both searches over the candidates
+    * ([[Bfs.driverHop]], k − 1 hops, the same stop sets). That is exact on
+    * X. Take `u` with `ds(u) + dt(u) <= k` and an edge `(w, x)` on a
+    * shortest s→u path: `dt(x) <= ds(u) − ds(x) + dt(u)`, so `ds(w) + 1 +
+    * dt(x) <= k`, and the lower bounds pass too. Every such edge is a
+    * candidate, so `ds(u)` is exact, and `dt(u)` likewise. Distances over a
+    * subgraph are never below the true ones, so no vertex outside X gets
+    * `ds + dt <= k`.
+    *
+    * k − 1 hops suffice: a vertex other than `t` with `ds = k` has
+    * `dt >= 1`, so it is not in X, and likewise a vertex other than `s`
+    * with `dt = k`. The conditions above are then checked on the candidates
+    * and keep exactly the index edges. `s` and `t` skip the X check there,
+    * because the edge condition implies it; `ds(t)` is the least
+    * `ds(u) + 1` over the index edges `(u, t)`, and `dt(s)` the least
+    * `dt(v) + 1` over `(s, v)`.
     */
   private[core] def collect[A](spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
                                attrs: Seq[Column])(attr: Row => A)
                               : (LightIndex, Seq[(Long, Long, Int, A)]) = {
     val t0 = System.nanoTime()
     val rows = graphEdges.select(col("src").cast("long") +: col("dst").cast("long") +: attrs: _*).rdd
-    val (ds, dt) = Bfs.search(rows.map(r => (r.getLong(0), r.getLong(1))), Some(q.s), Some(q.t),
-      q.k - 1, sStop = Set(q.t), tStop = Set(q.s))
+    val j = (q.k - 1) / 2
+    val (nearS, nearT) = Bfs.search(Bfs.sparkHop(rows.map(r => (r.getLong(0), r.getLong(1)))),
+      Some(q.s), Some(q.t), j, sStop = Set(q.t), tStop = Set(q.s))
+    val candidates = rows.mapPartitions(_.flatMap { r =>
+      val (u, v) = (r.getLong(0), r.getLong(1))
+      if (u != q.t && v != q.s && nearS.getOrElse(u, j + 1) + 1 + nearT.getOrElse(v, j + 1) <= q.k)
+        Some((u, v, attr(r)))
+      else None
+    }).collect().toSeq
+    val (ds, dt) = Bfs.search(Bfs.driverHop(candidates.map(c => (c._1, c._2))),
+      Some(q.s), Some(q.t), q.k - 1, sStop = Set(q.t), tStop = Set(q.s))
     val x = for ((v, a) <- ds; b <- dt.get(v) if a + b <= q.k) yield v -> (a, b)
     // ds of the admissible sources and dt of the admissible targets.
     val from = x.collect { case (v, (a, _)) if v != q.t => v -> a } + (q.s -> 0)
     val to = x.collect { case (v, (_, b)) if v != q.s => v -> b } + (q.t -> 0)
-    val edges = rows.mapPartitions(_.flatMap { r =>
-      val (u, v) = (r.getLong(0), r.getLong(1))
-      for (a <- from.get(u); b <- to.get(v) if a + b + 1 <= q.k) yield (u, v, b, attr(r))
-    }).collect().toSeq
+    val edges = for ((u, v, w) <- candidates; a <- from.get(u); b <- to.get(v) if a + b + 1 <= q.k)
+      yield (u, v, b, w)
     val dsT = edges.collect { case (u, q.t, _, _) => from(u) + 1 }.minOption
     val dtS = edges.collect { case (q.s, _, b, _) => b + 1 }.minOption
     val dist = x ++ dsT.map(q.t -> (_, 0)) ++ dtS.map(q.s -> (0, _))

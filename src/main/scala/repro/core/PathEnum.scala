@@ -25,8 +25,8 @@ final case class PathEnumResult(
 
 /** Top-level PathEnum (Figure 2): build the light-weight index, run the
   * two-phase query optimizer, and enumerate with the chosen plan. Only the
-  * index build runs Spark jobs; the optimizer and the plans run on the
-  * index it collects.
+  * index build runs Spark jobs, at most ⌈k/2⌉ ([[LightIndex.collect]]);
+  * the optimizer and the plans run on the index it collects.
   *
   * Phase 1: the preliminary estimator (Eq. 5) computes T̂ from the
   * collected index; if T̂ <= τ the search space is small and IDX-DFS runs

@@ -45,15 +45,17 @@ final class GroupJobs(sc: SparkContext) extends SparkListener {
   }
 }
 
-/** The query path costs at most k Spark jobs: k − 1 fused BFS hops and
-  * one job that returns the relation's edges. Each job is one stage, so the
-  * query path runs no SQL join and no shuffle, and no session setting
-  * shapes it. */
+/** The index costs at most ⌈k/2⌉ Spark jobs: ⌊(k − 1)/2⌋ fused BFS hops,
+  * where the searches from s and to t meet in the middle, and one job that
+  * returns the candidate edges. PathEnum runs nothing else on Spark. BC-DFS
+  * searches from t alone, so it costs k: k − 1 hops and one job that
+  * returns its relation. Each job is one stage, so the query path runs no
+  * SQL join and no shuffle, and no session setting shapes it. */
 class JobCountSpec extends ReproSpec {
 
   private lazy val counter = new GroupJobs(spark.sparkContext)
-  private val q = HcQuery(1L, 2L, 4)
   private val cfg = EnumConfig(timeBudgetMs = 300000L)
+  private val ks = 2 to 6
 
   /** Counts the jobs of `f`, asserts that each is a single stage, and
     * returns the count. */
@@ -63,23 +65,31 @@ class JobCountSpec extends ReproSpec {
     w.jobs
   }
 
+  private def half(k: Int): Int = (k + 1) / 2
+
   for ((name, pairs) <- Seq("layered" -> TestGraphs.layered, "figure1" -> TestGraphs.figure1)) {
-    test(s"index, PathEnum and BC-DFS each run at most k jobs on $name (k = 4)") {
+    test(s"index and PathEnum run at most ceil(k/2) jobs and BC-DFS at most k on $name (k = 2..6)") {
       val edges = edgeDf(pairs)
-      assert(jobs(LightIndex.build(spark, edges, q)) <= q.k)
-      assert(jobs(PathEnum.run(spark, edges, q, cfg)) <= q.k)
-      assert(jobs(BcDfs.run(spark, edges, q, cfg)) <= q.k)
+      for (k <- ks) {
+        val q = HcQuery(1L, 2L, k)
+        assert(jobs(LightIndex.build(spark, edges, q)) <= half(k), s"index, k = $k")
+        assert(jobs(PathEnum.run(spark, edges, q, cfg)) <= half(k), s"PathEnum, k = $k")
+        assert(jobs(BcDfs.run(spark, edges, q, cfg)) <= k, s"BC-DFS, k = $k")
+      }
     }
   }
 
-  test("Appendix E runs cost k jobs, plus one for the automaton's transitions") {
+  test("Appendix E runs cost ceil(k/2) jobs, plus one for the automaton's transitions (k = 2..6)") {
     import spark.implicits._
     val weighted = TestGraphs.layered.map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "w")
     val labeled = TestGraphs.layered.map { case (a, b) => (a, b, 1L) }.toDF("src", "dst", "lbl")
     val transitions = Seq((0L, 1L, 0L)).toDF("state", "lbl", "next")
-    assert(jobs(Extensions.accumulative(spark, weighted, q, 0.0, _ + _, _ => true,
-      cfg = cfg)) <= q.k)
-    assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
-      cfg)) <= q.k + 1)
+    for (k <- ks) {
+      val q = HcQuery(1L, 2L, k)
+      assert(jobs(Extensions.accumulative(spark, weighted, q, 0.0, _ + _, _ => true,
+        cfg = cfg)) <= half(k), s"accumulative, k = $k")
+      assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
+        cfg)) <= half(k) + 1, s"automaton, k = $k")
+    }
   }
 }

@@ -71,10 +71,48 @@ class LightIndexSpec extends ReproSpec {
     assert(idx.memoryBytes == idx.edgeCount * 48 + idx.vertexCount * 24)
   }
 
+  /** The searches from s and to t of the index build meet in the middle:
+    * the reference distances within ⌊(k − 1)/2⌋ hops. */
+  private def nearDistances(pairs: Seq[(Long, Long)], q: HcQuery): (Map[Long, Int], Map[Long, Int]) = {
+    val (ref, j) = (RefGraph.Ref(pairs), (q.k - 1) / 2)
+    (ref.bfs(q.s, j, noExpand = Set(q.t)), ref.bfs(q.t, j, noExpand = Set(q.s), reverse = true))
+  }
+
+  // k = 2..6 meets at radius 0, 1 and 2.
   for ((name, pairs) <- TestGraphs.randomCases(5)) {
     test(s"index matches reference on $name") {
-      assertReference(pairs, HcQuery(1L, 2L, 5))
+      for (k <- 2 to 6) assertReference(pairs, HcQuery(1L, 2L, k))
     }
+  }
+
+  test("the middle vertex of the only path is reached by neither search, k = 4 and 6") {
+    // 1 -> 3 -> ... -> 2 with k edges, a dead branch off s and an edge into s
+    for (k <- Seq(4, 6)) {
+      val path = 1L +: (3L until k + 2L) :+ 2L
+      val pairs = path.zip(path.tail) ++ Seq((1L, 20L), (20L, 21L), (3L, 1L))
+      val q = HcQuery(1L, 2L, k)
+      val mid = path(k / 2)
+      val (nearS, nearT) = nearDistances(pairs, q)
+      assert(!nearS.contains(mid) && !nearT.contains(mid))
+      val idx = assertReference(pairs, q)
+      assert(idx.dist(mid) == (k / 2, k / 2) && idx.edgeCount == k)
+    }
+  }
+
+  test("candidate edges outside the index are filtered out") {
+    // 1 -> 3 -> 2 is the only path within k = 4; 4 has ds = 2 and dt = 3.
+    // The edge (3, 4) passes the candidate test (1 + 1 + 2 <= 4), since the
+    // search to t does not reach 4 within one hop.
+    val pairs = Seq((1L, 3L), (3L, 2L), (3L, 4L), (4L, 5L), (5L, 6L), (6L, 2L))
+    val q = HcQuery(1L, 2L, 4)
+    val (nearS, nearT) = nearDistances(pairs, q)
+    val j = (q.k - 1) / 2
+    val candidates = pairs.filter { case (u, v) =>
+      u != q.t && v != q.s && nearS.getOrElse(u, j + 1) + 1 + nearT.getOrElse(v, j + 1) <= q.k
+    }
+    assert(candidates.contains((3L, 4L)))
+    val idx = assertReference(pairs, q)
+    assert(idx.edgeCount == 2 && idx.edgeCount < candidates.size && !idx.dist.contains(4L))
   }
 
   test("the only path has exactly k edges, so ds(t) = dt(s) = k") {

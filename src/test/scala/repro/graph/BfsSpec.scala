@@ -75,11 +75,18 @@ class BfsSpec extends ReproSpec {
   for ((name, pairs) <- TestGraphs.randomCases(5); hops <- Seq(2, 5)) {
     test(s"fused BFS matches reference ds and dt within $hops hops on $name") {
       val ref = RefGraph.Ref(pairs)
-      val edges = Bfs.pairs(edgeDf(pairs))
+      val edges = Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))
       val (ds, dt) = Bfs.search(edges, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L))
       assert(ds == ref.bfs(1L, hops, noExpand = Set(2L)))
       assert(dt == ref.bfs(2L, hops, noExpand = Set(1L), reverse = true))
       assert(Bfs.search(edges, None, Some(2L), hops) == (Map.empty, ref.bfs(2L, hops, reverse = true)))
+    }
+    test(s"the driver hop gives the Spark hop's ds and dt within $hops hops on $name") {
+      def both(hop: Bfs.Hop) = Seq(
+        Bfs.search(hop, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L)),
+        Bfs.search(hop, Some(1L), None, hops),
+        Bfs.search(hop, None, Some(2L), hops, tStop = Set(1L)))
+      assert(both(Bfs.driverHop(pairs)) == both(Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))))
     }
   }
 }
