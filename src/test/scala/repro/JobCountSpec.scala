@@ -68,6 +68,14 @@ class JobCountSpec extends ReproSpec {
   private def half(k: Int): Int = (k + 1) / 2
 
   for ((name, pairs) <- Seq("layered" -> TestGraphs.layered, "figure1" -> TestGraphs.figure1)) {
+    test(s"index, PathEnum and BC-DFS each run at most k jobs on $name (k = 4)") {
+      val edges = edgeDf(pairs)
+      val q = HcQuery(1L, 2L, 4)
+      assert(jobs(LightIndex.build(spark, edges, q)) <= q.k)
+      assert(jobs(PathEnum.run(spark, edges, q, cfg)) <= q.k)
+      assert(jobs(BcDfs.run(spark, edges, q, cfg)) <= q.k)
+    }
+
     test(s"index and PathEnum run at most ceil(k/2) jobs and BC-DFS at most k on $name (k = 2..6)") {
       val edges = edgeDf(pairs)
       for (k <- ks) {
@@ -77,6 +85,18 @@ class JobCountSpec extends ReproSpec {
         assert(jobs(BcDfs.run(spark, edges, q, cfg)) <= k, s"BC-DFS, k = $k")
       }
     }
+  }
+
+  test("Appendix E runs cost k jobs, plus one for the automaton's transitions") {
+    import spark.implicits._
+    val weighted = TestGraphs.layered.map { case (a, b) => (a, b, 1.0) }.toDF("src", "dst", "w")
+    val labeled = TestGraphs.layered.map { case (a, b) => (a, b, 1L) }.toDF("src", "dst", "lbl")
+    val transitions = Seq((0L, 1L, 0L)).toDF("state", "lbl", "next")
+    val q = HcQuery(1L, 2L, 4)
+    assert(jobs(Extensions.accumulative(spark, weighted, q, 0.0, _ + _, _ => true,
+      cfg = cfg)) <= q.k)
+    assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
+      cfg)) <= q.k + 1)
   }
 
   test("Appendix E runs cost ceil(k/2) jobs, plus one for the automaton's transitions (k = 2..6)") {
