@@ -53,15 +53,14 @@ object Estimator {
     * T̂ = Σ_{0<=i<=k-1} Π_{0<=j<=i} γ̂_j with
     * γ̂_i = avg over v in C_i of |I_t(v, k-i-1)|.
     */
-  def preliminary(spark: SparkSession, index: LightIndex): Double = {
+  def preliminary(spark: SparkSession, index: LightIndex[_]): Double = {
     val k = index.query.k
     val g = index.local
-    val (ds, dt) = index.localDistances
+    val (ds, dt) = (index.ds, index.dt)
     val gamma = (0 until k).map { i =>
-      val ci = index.dist.values.count { case (vs, vt) => vs <= i && vt <= k - i }
-      val out = g.ids.indices.filter(v => ds(v) <= i && dt(v) <= k - i)
-        .map(v => (g.first(v) until g.end(v)).count(e => g.dt(e) <= k - i - 1).toLong).sum
-      if (ci == 0) 0.0 else out.toDouble / ci
+      val ci = g.ids.indices.filter(v => ds(v) <= i && dt(v) <= k - i)
+      val out = ci.map(v => (g.first(v) until g.end(v)).count(e => g.dt(e) <= k - i - 1).toLong).sum
+      if (ci.isEmpty) 0.0 else out.toDouble / ci.size
     }
     (0 until k).map(i => (0 to i).map(gamma).product).sum
   }
@@ -69,11 +68,11 @@ object Estimator {
   /** Full-fledged DP (Algorithm 5): per-level walk counts in both
     * directions over the padded index, O(k x |I|).
     */
-  def full(spark: SparkSession, index: LightIndex): DpEstimate = {
+  def full(spark: SparkSession, index: LightIndex[_]): DpEstimate = {
     val t0 = System.nanoTime()
     val k = index.query.k
     val g = index.local
-    val (ds, dt) = index.localDistances
+    val (ds, dt) = (index.ds, index.dt)
     val t = g.vertex(index.query.t)
 
     /** Calls `f(v, w)` for every hop `v -> w` into position `p + 1` of a

@@ -52,7 +52,7 @@ object Extensions {
                    init: Double, op: (Double, Double) => Double, accepts: Double => Boolean,
                    prune: Option[Double => Boolean] = None,
                    cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Double)]) =
-    runIndexed(spark, weightedEdges, col("w").cast("double"), _.getDouble(2), q, cfg, "DFS(acc)",
+    runIndexed(weightedEdges, col("w").cast("double"), _.getDouble(2), q, cfg, "DFS(acc)",
       init, accepts) { g =>
       val t = g.vertex(q.t)
       (acc, e) => Some(op(acc, g.attr(e))).filter(v => g.dst(e) == t || prune.forall(_(v)))
@@ -68,7 +68,7 @@ object Extensions {
       col("next").cast("long")).collect().map(r => (r.getLong(0), r.getLong(1)) -> r.getLong(2))
     val delta = rows.toMap
     require(delta.size == rows.distinct.length, "transitions must be deterministic")
-    runIndexed(spark, labeledEdges, col("lbl").cast("long"), _.getLong(2), q, cfg, "DFS(dfa)",
+    runIndexed(labeledEdges, col("lbl").cast("long"), _.getLong(2), q, cfg, "DFS(dfa)",
       startState, acceptStates) { g =>
       (state, e) => delta.get((state, g.attr(e)))
     }
@@ -76,16 +76,16 @@ object Extensions {
 
   /** Build the index of `q` on `graphEdges`, carrying the per-edge
     * attribute `attr` (read by `get` from column 2 of `(src, dst, attr)`)
-    * through the index's own edge job, and run the search from `init` with
-    * the hop test `next(g)`. Returns the accepted paths with their final
-    * values. */
-  private def runIndexed[A: Ordering, S](spark: SparkSession, graphEdges: DataFrame, attr: Column,
+    * through the index's own edge job, and run the search over it from
+    * `init` with the hop test `next(g)`. Returns the accepted paths with
+    * their final values. */
+  private def runIndexed[A: Ordering, S](graphEdges: DataFrame, attr: Column,
                                          get: Row => A, q: HcQuery, cfg: EnumConfig, plan: String,
                                          init: S, accept: S => Boolean)(
                                          next: Adjacency[A] => LeftDeepEnum.Hop[S]
                                         ): (PathEnumResult, Seq[(Seq[Long], S)]) = {
-    val (index, rows) = LightIndex.collect(spark, graphEdges, q, Seq(attr))(get)
-    val g = Adjacency(rows)
+    val index = LightIndex.collect(graphEdges, q, Seq(attr))(get)
+    val g = index.local
     val (res, found) = LeftDeepEnum.searchWith(g, q, cfg, init, next(g), accept, keep = true)
     (PathEnum.result(index, res, PlanInfo(plan, -1, None, None, None), 0.0), found)
   }

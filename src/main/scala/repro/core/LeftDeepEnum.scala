@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import scala.collection.mutable.ListBuffer
 
 /** Left-deep (DFS-shaped) enumeration engine — Algorithm 4 as a real
@@ -116,8 +115,12 @@ object LeftDeepEnum {
       nodes.lastIndexWhere(_ > 0) + 1, paths), found.toSeq)
   }
 
-  /** The IDX-DFS edge relation: pruned index edges. */
-  def indexRelation(index: LightIndex): DataFrame =
-    index.edges.select(
-      col("src").as("er_src"), col("dst").as("er_dst"), col("dstDt").as("er_dt"))
+  /** The IDX-DFS edge relation `(er_src, er_dst, er_dt)`: the index edges
+    * as a DataFrame of the active session. */
+  def indexRelation(index: LightIndex[_]): DataFrame = {
+    val g = index.local
+    val rows = for (v <- g.ids.indices; e <- g.first(v) until g.end(v))
+      yield (g.ids(v), g.ids(g.dst(e)), g.dt(e))
+    SparkSession.active.createDataFrame(rows).toDF("er_src", "er_dst", "er_dt")
+  }
 }

@@ -26,7 +26,8 @@ final case class PathEnumResult(
 /** Top-level PathEnum (Figure 2): build the light-weight index, run the
   * two-phase query optimizer, and enumerate with the chosen plan. Only the
   * index build runs Spark jobs, at most ⌈k/2⌉ ([[LightIndex.collect]]);
-  * the optimizer and the plans run on the index it collects.
+  * the optimizer and the plans run on the driver-side index it returns
+  * (`local`, `ds`, `dt`).
   *
   * Phase 1: the preliminary estimator (Eq. 5) computes T̂ from the
   * collected index; if T̂ <= τ the search space is small and IDX-DFS runs
@@ -77,7 +78,7 @@ object PathEnum {
   }
 
   /** A run on `index` with its build time and size. */
-  private[core] def result(index: LightIndex, res: EnumResult, plan: PlanInfo,
+  private[core] def result(index: LightIndex[_], res: EnumResult, plan: PlanInfo,
                            optMs: Double): PathEnumResult =
     PathEnumResult(res, plan, index.buildMs, optMs, index.edgeCount, index.memoryBytes)
 }

@@ -20,9 +20,9 @@ import scala.collection.mutable
   *    closure, so every hop runs the same plan with no SQL join or shuffle:
   *    one Spark job per hop.
   *  - [[driverHop]] looks the frontiers up in edges already collected on
-  *    the driver, and runs no job. [[repro.core.LightIndex]] finishes its
-  *    search with it over the candidate edges of a meet-in-the-middle
-  *    search.
+  *    the driver, and runs no job. [[repro.core.LightIndex]] finishes
+  *    both searches with it, for all k hops, over the candidate edges of a
+  *    meet-in-the-middle search.
   *
   * Vertices in a search's stop set (`sStop`, `tStop`, `noExpand`) may be
   * *reached* (they get a distance) but are never *expanded through*. This realizes the paper's

@@ -65,6 +65,17 @@ class ExtensionsSpec extends ReproSpec {
     }
   }
 
+  test("parallel edges with different weights are distinct paths and distinct index slots") {
+    import spark.implicits._
+    val multi = Seq((1L, 3L, 1.0), (1L, 3L, 2.0), (1L, 3L, 2.0), (3L, 2L, 1.0)).toDF("src", "dst", "w")
+    val (r, got) = Extensions.accumulative(spark, multi, HcQuery(1L, 2L, 4),
+      init = 0.0, op = _ + _, accepts = _ => true, cfg = EnumConfig(timeBudgetMs = 300000L))
+    assert(got.sortBy(_._2) == Seq((Seq(1L, 3L, 2L), 2.0), (Seq(1L, 3L, 2L), 3.0)))
+    assert(r.enum.results == 2)
+    // One slot per distinct (src, dst, w): the duplicate (1, 3, 2.0) collapses.
+    assert(r.indexEdges == 3)
+  }
+
   test("monotone prune does not change the result set") {
     val q = HcQuery(1L, 2L, 4)
     val (_, a) = Extensions.accumulative(spark, weighted, q,

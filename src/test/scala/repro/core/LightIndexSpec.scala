@@ -6,9 +6,20 @@ class LightIndexSpec extends ReproSpec {
 
   private val q = HcQuery(1L, 2L, 4)
 
+  /** The vertex table of `idx`: `v -> (ds, dt)` for each vertex of X. */
+  private def dist(idx: LightIndex[_]): Map[Long, (Int, Int)] =
+    idx.local.ids.indices.map(v => idx.local.ids(v) -> (idx.ds(v), idx.dt(v))).toMap
+
+  /** One row `(src, dst, srcDs, srcDt, dstDs, dstDt)` per index edge. */
+  private def edges(idx: LightIndex[_]): Seq[(Long, Long, Int, Int, Int, Int)] = {
+    val g = idx.local
+    for (u <- g.ids.indices; e <- g.first(u) until g.end(u); v = g.dst(e))
+      yield (g.ids(u), g.ids(v), idx.ds(u), idx.dt(u), idx.ds(v), idx.dt(v))
+  }
+
   /** Builds the index of `q` on `pairs` and asserts that it has the
-    * reference's edges (with all four distances) and vertex table `dist`. */
-  private def assertReference(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex = {
+    * reference's edges (with all four distances) and vertex table. */
+  private def assertReference(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex[Unit] = {
     val ref = RefGraph.Ref(pairs)
     val dS = ref.ds(q.s, q.t, q.k); val dT = ref.dt(q.s, q.t, q.k)
     val x = dS.keySet.intersect(dT.keySet)
@@ -16,17 +27,15 @@ class LightIndexSpec extends ReproSpec {
     val want = ref.indexEdges(q.s, q.t, q.k)
       .map { case (u, v) => (u, v, dS(u), dT(u), dS(v), dT(v)) }.toSet
     val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    assert(idx.dist == x)
-    val edges = idx.edges.collect().map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"),
-      r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"), r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt")))
-    assert(edges.length == idx.edgeCount && edges.toSet == want)
+    assert(dist(idx) == x)
+    val got = edges(idx)
+    assert(got.length == idx.edgeCount && got.toSet == want)
     idx
   }
 
   test("index on figure1 matches reference index edges") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    val got = idx.edges.collect()
-      .map(r => (r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
+    val got = edges(idx).map(r => (r._1, r._2)).toSet
     val want = RefGraph.Ref(TestGraphs.figure1).indexEdges(1L, 2L, 4).toSet
     assert(got == want)
   }
@@ -34,8 +43,7 @@ class LightIndexSpec extends ReproSpec {
   test("index drops vertices outside every result") {
     // vertex 9 (edge into s) and dead-end 7,8 cannot appear in any result
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    val verts = idx.edges.collect()
-      .flatMap(r => Seq(r.getAs[Long]("src"), r.getAs[Long]("dst"))).toSet
+    val verts = edges(idx).flatMap(r => Seq(r._1, r._2)).toSet
     assert(!verts.contains(9L))
     assert(!verts.contains(7L))
     assert(!verts.contains(8L))
@@ -45,10 +53,7 @@ class LightIndexSpec extends ReproSpec {
     val ref = RefGraph.Ref(TestGraphs.figure1)
     val dS = ref.ds(1L, 2L, 4); val dT = ref.dt(1L, 2L, 4)
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.figure1), q)
-    idx.edges.collect().foreach { r =>
-      val src = r.getAs[Long]("src"); val dst = r.getAs[Long]("dst")
-      val (srcDs, srcDt, dstDs, dstDt) = (r.getAs[Int]("srcDs"), r.getAs[Int]("srcDt"),
-        r.getAs[Int]("dstDs"), r.getAs[Int]("dstDt"))
+    edges(idx).foreach { case (src, dst, srcDs, srcDt, dstDs, dstDt) =>
       assert(dS(src) == srcDs && dT(src) == srcDt, s"distances wrong for $src")
       assert(dS(dst) == dstDs && dT(dst) == dstDt, s"distances wrong for $dst")
       assert(srcDs + srcDt <= q.k && dstDs + dstDt <= q.k && srcDs + dstDt + 1 <= q.k)
@@ -58,7 +63,7 @@ class LightIndexSpec extends ReproSpec {
     // in C_k (Prop. 4.3).
     val wantVerts = dS.keySet.intersect(dT.keySet)
       .collect { case v if dS(v) + dT(v) <= q.k => (v, dS(v), dT(v)) }
-    assert(idx.dist.map { case (v, (ds, dt)) => (v, ds, dt) }.toSet == wantVerts)
+    assert(dist(idx).map { case (v, (ds, dt)) => (v, ds, dt) }.toSet == wantVerts)
   }
 
   test("index never has more edges than the graph") {
@@ -95,7 +100,7 @@ class LightIndexSpec extends ReproSpec {
       val (nearS, nearT) = nearDistances(pairs, q)
       assert(!nearS.contains(mid) && !nearT.contains(mid))
       val idx = assertReference(pairs, q)
-      assert(idx.dist(mid) == (k / 2, k / 2) && idx.edgeCount == k)
+      assert(dist(idx)(mid) == (k / 2, k / 2) && idx.edgeCount == k)
     }
   }
 
@@ -112,14 +117,14 @@ class LightIndexSpec extends ReproSpec {
     }
     assert(candidates.contains((3L, 4L)))
     val idx = assertReference(pairs, q)
-    assert(idx.edgeCount == 2 && idx.edgeCount < candidates.size && !idx.dist.contains(4L))
+    assert(idx.edgeCount == 2 && idx.edgeCount < candidates.size && !dist(idx).contains(4L))
   }
 
   test("the only path has exactly k edges, so ds(t) = dt(s) = k") {
     // 1 -> 3 -> 4 -> 5 -> 2, a dead branch 1 -> 6 -> 7 -> 8 and a back edge
     val pairs = Seq((1L, 3L), (3L, 4L), (4L, 5L), (5L, 2L), (1L, 6L), (6L, 7L), (7L, 8L), (5L, 3L))
     val idx = assertReference(pairs, q)
-    assert(idx.dist(2L) == (4, 0) && idx.dist(1L) == (0, 4))
+    assert(dist(idx)(2L) == (4, 0) && dist(idx)(1L) == (0, 4))
   }
 
   test("a direct s-t edge with k = 2") {
