@@ -69,7 +69,7 @@ class Table6Bench extends ReproSpec {
     assert(out.contains("ep") && out.contains("gg"))
     // result counts must be monotone-ish in k on gg (no budget cap there)
     val ms = BenchTables.sweep(spark).filter(m => m.algo == "IDX-DFS" && m.graph == "gg")
-    val avgByK = (3 to 8).map(k => ms.filter(_.k == k).map(_.results).sum)
+    val avgByK = (3 to 8).map(k => ms.filter(_.q.k == k).map(_.result.enum.results).sum)
     assert(avgByK.head <= avgByK.last, s"gg results did not grow with k: $avgByK")
   }
 }
@@ -80,6 +80,6 @@ class Table7Bench extends ReproSpec {
     println(out)
     assert(out.contains("Index") && out.contains("Partial Results"))
     val ms = BenchTables.sweep(spark).filter(_.algo == "IDX-JOIN")
-    assert(ms.forall(_.indexBytes > 0))
+    assert(ms.forall(_.result.indexBytes > 0))
   }
 }

@@ -9,7 +9,7 @@ import repro.bench.BenchTables
   */
 object JobSession {
   def session(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       // The query path runs no shuffle. The graph generators' `distinct`
@@ -32,7 +32,7 @@ object TablesJob {
   def main(args: Array[String]): Unit = {
     val table: SparkSession => String = args match {
       case Array("2") => BenchTables.table2
-      case Array("3") => BenchTables.table3(_)
+      case Array("3") => BenchTables.table3
       case Array("4") => BenchTables.table4
       case Array("5") => BenchTables.table5
       case Array("6") => BenchTables.table6

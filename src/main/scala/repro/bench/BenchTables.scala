@@ -1,16 +1,16 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.core.{EnumConfig, HcQuery}
-import scala.collection.mutable
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{EnumConfig, HcQuery, PathEnumResult}
 
-/** Computes and formats the evaluation tables (Tables 2-7). Shared by the
-  * bench suites (`sbt "bench/test"`) and the spark-submit jobs in `jobs/`.
+/** Computes and formats the evaluation tables (Tables 2-7) from the
+  * engines' own [[PathEnumResult]]s. Shared by the bench suites
+  * (`sbt "bench/test"`) and the spark-submit jobs in `jobs/`.
   *
   * Protocol scaling versus the paper (documented in DESIGN.md): the
   * per-query budget is `EnumConfig`'s 10 s instead of 120 s, and the
   * Table 4/5 buckets scale accordingly (<60 s → < budget/2, >120 s → timed
-  * out). Query counts default to 2 per graph and 3 per sweep point (paper:
+  * out). Table 3 runs 2 queries per graph and the sweep 3 per point (paper:
   * 1000) — means over a seeded sample.
   */
 object BenchTables {
@@ -19,6 +19,24 @@ object BenchTables {
   private def mean(xs: Seq[Double]): Double = if (xs.isEmpty) Double.NaN else xs.sum / xs.size
 
   val cfg: EnumConfig = EnumConfig()
+
+  // The protocol: Table 3 at one k over every Table 3 graph; Tables 4-7
+  // from one sweep over two graphs, the k range and three algorithms.
+  private val table3K = 6
+  private val table3Queries = 2
+  private val sweepGraphs = Seq("ep", "gg")
+  private val sweepKs = 3 to 8
+  private val sweepAlgos = Seq("BC-DFS", "IDX-DFS", "IDX-JOIN")
+  private val sweepQueries = 3
+
+  /** Runs `algo` on `q` and logs it to stderr under `tag`. */
+  private def run(tag: String, spark: SparkSession, graph: String, edges: DataFrame,
+                  algo: String, q: HcQuery): PathEnumResult = {
+    val r = Runner.run(spark, edges, algo, q, cfg)
+    Console.err.println(f"[$tag] $graph/$algo k=${q.k} q(${q.s},${q.t}): ${r.queryTimeMs}%.0f ms, " +
+      s"${r.enum.results} results${if (r.enum.timedOut) " (timeout)" else ""}")
+    r
+  }
 
   // ---------------------------------------------------------------- Table 2
   def table2(spark: SparkSession): String = {
@@ -37,45 +55,34 @@ object BenchTables {
                          tp: Map[String, Double], rt: Map[String, Double],
                          anyTimeout: Boolean, resultsConsistent: Boolean)
 
-  def table3Rows(spark: SparkSession, k: Int = 6,
-                 nQueries: Int = 2): Seq[T3Row] = {
+  def table3Rows(spark: SparkSession): Seq[T3Row] = {
     for (spec <- GraphSuite.specs if spec.inTable3) yield {
       val edges = GraphSuite.edges(spark, spec)
-      val qs = QueryGen.queries(spark, edges, nQueries, seed = 1000 + spec.seed)
+      val qs = QueryGen.queries(spark, edges, table3Queries, seed = 1000 + spec.seed)
       Console.err.println(s"[table3] ${spec.name}: ${qs.size} queries generated")
       val byAlgo = Runner.algos.map { a =>
-        a -> qs.map { case (s, t) =>
-          val m = Runner.run(spark, spec.name, edges, a, HcQuery(s, t, k), cfg)
-          Console.err.println(f"[table3] ${spec.name}/$a q($s,$t): ${m.queryTimeMs}%.0f ms, " +
-            s"${m.results} results${if (m.timedOut) " (timeout)" else ""}")
-          m
-        }
+        a -> qs.map { case (s, t) => run("table3", spark, spec.name, edges, a, HcQuery(s, t, table3K)) }
       }.toMap
       // Queries where no algorithm was killed must agree on result counts.
       val consistent = qs.indices.forall { i =>
-        val per = Runner.algos.map(a => byAlgo(a)(i))
+        val per = Runner.algos.map(a => byAlgo(a)(i).enum)
         per.exists(_.timedOut) || per.map(_.results).distinct.size == 1
       }
       T3Row(spec.name,
-        byAlgo.map { case (a, ms) => a -> mean(ms.map(_.queryTimeMs)) },
-        byAlgo.map { case (a, ms) => a -> (ms.count(_.timedOut).toDouble / ms.size > 0.2) },
-        byAlgo.map { case (a, ms) => a -> mean(ms.map(_.throughput)) },
-        byAlgo.collect { case (a, ms) if a == "BC-DFS" || a == "IDX-DFS" =>
-          a -> mean(ms.flatMap(m => m.responseMs.orElse(Some(m.queryTimeMs))))
-        },
-        anyTimeout = byAlgo.values.exists(_.exists(_.timedOut)),
+        byAlgo.map { case (a, rs) => a -> mean(rs.map(_.queryTimeMs)) },
+        byAlgo.map { case (a, rs) => a -> (rs.count(_.enum.timedOut).toDouble / rs.size > 0.2) },
+        byAlgo.map { case (a, rs) => a -> mean(rs.map(_.throughput)) },
+        byAlgo.collect { case (a, rs) if a == "BC-DFS" || a == "IDX-DFS" => a -> mean(rs.map(_.responseMs)) },
+        anyTimeout = byAlgo.values.exists(_.exists(_.enum.timedOut)),
         resultsConsistent = consistent)
     }
   }
 
-  def table3(spark: SparkSession, k: Int = 6,
-             nQueries: Int = 2): String =
-    formatTable3(table3Rows(spark, k, nQueries), k, nQueries)
+  def table3(spark: SparkSession): String = formatTable3(table3Rows(spark))
 
-  def formatTable3(rows: Seq[T3Row], k: Int = 6,
-                   nQueries: Int = 2): String = {
+  def formatTable3(rows: Seq[T3Row]): String = {
     val sb = new StringBuilder
-    sb ++= s"Table 3: Overall comparison, k=$k, $nQueries queries/graph, budget ${cfg.timeBudgetMs} ms.\n"
+    sb ++= s"Table 3: Overall comparison, k=$table3K, $table3Queries queries/graph, budget ${cfg.timeBudgetMs} ms.\n"
     sb ++= s"(* = timed out on >20% of queries)\n"
     val a = Runner.algos
     sb ++= f"${"Graph"}%-6s| ${"Query Time (ms)"}%-55s| ${"Throughput (res/s)"}%-55s| Response (ms)\n"
@@ -90,52 +97,55 @@ object BenchTables {
   }
 
   // ------------------------------------------------------- Tables 4/5/6/7 sweep
-  /** One shared ep/gg sweep powers Tables 4, 5, 6 and 7. Cached per JVM. */
-  private val sweepCache = mutable.Map.empty[String, Seq[QueryMetrics]]
+  /** One run of the sweep. */
+  final case class SweepRun(graph: String, algo: String, q: HcQuery, result: PathEnumResult)
 
-  def sweep(spark: SparkSession, graphs: Seq[String] = Seq("ep", "gg"),
-            ks: Seq[Int] = 3 to 8,
-            algos: Seq[String] = Seq("BC-DFS", "IDX-DFS", "IDX-JOIN"),
-            nQueries: Int = 3): Seq[QueryMetrics] = synchronized {
-    val key = s"${graphs.mkString(",")}|${ks.mkString(",")}|${algos.mkString(",")}|$nQueries"
-    sweepCache.getOrElseUpdate(key, {
-      for {
-        g <- graphs
+  private var swept: Option[Seq[SweepRun]] = None
+
+  /** The one ep/gg sweep behind Tables 4, 5, 6 and 7, run once per JVM. */
+  def sweep(spark: SparkSession): Seq[SweepRun] = synchronized {
+    swept.getOrElse {
+      val runs = for {
+        g <- sweepGraphs
         spec = GraphSuite.spec(g)
         edges = GraphSuite.edges(spark, spec)
-        qs = QueryGen.queries(spark, edges, nQueries, seed = 2000 + spec.seed)
-        k <- ks
-        algo <- algos
+        qs = QueryGen.queries(spark, edges, sweepQueries, seed = 2000 + spec.seed)
+        k <- sweepKs
+        algo <- sweepAlgos
         (s, t) <- qs
       } yield {
-        val m = Runner.run(spark, g, edges, algo, HcQuery(s, t, k), cfg)
-        Console.err.println(f"[sweep] $g/$algo k=$k q($s,$t): ${m.queryTimeMs}%.0f ms, " +
-          s"${m.results} results${if (m.timedOut) " (timeout)" else ""}")
-        m
+        val q = HcQuery(s, t, k)
+        SweepRun(g, algo, q, run("sweep", spark, g, edges, algo, q))
       }
-    })
+      swept = Some(runs)
+      runs
+    }
   }
+
+  /** The sweep's results of `algo` on `graph` at `k`. */
+  private def cell(spark: SparkSession, graph: String, algo: String, k: Int): Seq[PathEnumResult] =
+    sweep(spark).collect { case SweepRun(`graph`, `algo`, q, r) if q.k == k => r }
 
   // ---------------------------------------------------------------- Table 4
   def table4(spark: SparkSession): String = {
-    val ms = sweep(spark).filter(m => m.algo == "BC-DFS" || m.algo == "IDX-DFS")
     val budget = cfg.timeBudgetMs.toDouble
+    val cols = for (g <- sweepGraphs; a <- Seq("BC-DFS", "IDX-DFS")) yield (g, a, s"$g $a <hb")
     val sb = new StringBuilder
     sb ++= s"Table 4: Query time distribution on ep and gg (paper buckets <60s/>120s scale to\n"
     sb ++= f"<${budget / 2 / 1000}%.1fs (half budget) / timed-out at ${budget / 1000}%.1fs).\n"
-    sb ++= f"${"k"}%-3s| ${"ep BC-DFS <hb"}%14s ${">to"}%5s | ${"ep IDX-DFS <hb"}%15s ${">to"}%5s | ${"gg BC-DFS <hb"}%14s ${">to"}%5s | ${"gg IDX-DFS <hb"}%15s ${">to"}%5s\n"
-    for (k <- 3 to 8) {
-      def frac(g: String, a: String): (Double, Double) = {
-        val xs = ms.filter(m => m.graph == g && m.algo == a && m.k == k)
-        if (xs.isEmpty) (Double.NaN, Double.NaN)
+    sb ++= f"${"k"}%-3s|" + cols.map(c => s"  ${c._3}   >to").mkString(" |") + "\n"
+    for (k <- sweepKs) {
+      val fracs = cols.map { case (g, a, label) =>
+        val rs = cell(spark, g, a, k)
         // Buckets are disjoint, as in the paper: "completed fast" excludes
         // killed/truncated runs even when truncation made them finish early.
-        else (xs.count(m => m.queryTimeMs < budget / 2 && !m.timedOut).toDouble / xs.size,
-              xs.count(_.timedOut).toDouble / xs.size)
+        val (fast, out) =
+          if (rs.isEmpty) (Double.NaN, Double.NaN)
+          else (rs.count(r => r.queryTimeMs < budget / 2 && !r.enum.timedOut).toDouble / rs.size,
+                rs.count(_.enum.timedOut).toDouble / rs.size)
+        s" %${label.length + 1}.3f %5.3f".format(fast, out)
       }
-      val (eb1, eb2) = frac("ep", "BC-DFS"); val (ei1, ei2) = frac("ep", "IDX-DFS")
-      val (gb1, gb2) = frac("gg", "BC-DFS"); val (gi1, gi2) = frac("gg", "IDX-DFS")
-      sb ++= f"$k%-3d| $eb1%14.3f $eb2%5.3f | $ei1%15.3f $ei2%5.3f | $gb1%14.3f $gb2%5.3f | $gi1%15.3f $gi2%5.3f\n"
+      sb ++= f"$k%-3d|" + fracs.mkString(" |") + "\n"
     }
     sb.toString
   }
@@ -143,18 +153,16 @@ object BenchTables {
   // ---------------------------------------------------------------- Table 5
   def table5(spark: SparkSession): String = {
     val budget = cfg.timeBudgetMs.toDouble
-    val ms = sweep(spark).filter(m =>
-      m.graph == "ep" && m.k == 8 && (m.algo == "BC-DFS" || m.algo == "IDX-DFS"))
     val sb = new StringBuilder
-    sb ++= s"Table 5: Queries with different query time on ep, k=8\n"
+    sb ++= s"Table 5: Queries with different query time on ep, k=${sweepKs.last}\n"
     sb ++= f"(short = < ${budget / 2 / 1000}%.1fs, long = timed out; paper: <60s / >120s).\n"
     sb ++= f"${"Method"}%-8s| ${"Tput short"}%12s ${"Tput long"}%12s | ${"Resp short(ms)"}%15s ${"Resp long(ms)"}%14s\n"
     for (a <- Seq("BC-DFS", "IDX-DFS")) {
-      val xs = ms.filter(_.algo == a)
-      val short = xs.filter(m => m.queryTimeMs < budget / 2 && !m.timedOut)
-      val long = xs.filter(_.timedOut)
-      def tput(g: Seq[QueryMetrics]) = mean(g.map(_.throughput))
-      def resp(g: Seq[QueryMetrics]) = mean(g.flatMap(m => m.responseMs.orElse(Some(m.queryTimeMs))))
+      val rs = cell(spark, "ep", a, sweepKs.last)
+      val short = rs.filter(r => r.queryTimeMs < budget / 2 && !r.enum.timedOut)
+      val long = rs.filter(_.enum.timedOut)
+      def tput(g: Seq[PathEnumResult]) = mean(g.map(_.throughput))
+      def resp(g: Seq[PathEnumResult]) = mean(g.map(_.responseMs))
       sb ++= f"$a%-8s| ${sci(tput(short))}%12s ${sci(tput(long))}%12s | ${sci(resp(short))}%15s ${sci(resp(long))}%14s\n"
     }
     sb.toString
@@ -162,18 +170,17 @@ object BenchTables {
 
   // ---------------------------------------------------------------- Table 6
   def table6(spark: SparkSession): String = {
-    val ms = sweep(spark).filter(_.algo == "IDX-DFS")
     val sb = new StringBuilder
     sb ++= "Table 6: Average and maximum #results on ep and gg (IDX-DFS;\n"
     sb ++= "* = some query hit the budget, count is a lower bound — paper's star).\n"
-    sb ++= f"${"graph"}%-6s ${"stat"}%-5s" + (3 to 8).map(k => f"${"k=" + k}%12s").mkString + "\n"
-    for (g <- Seq("ep", "gg"); stat <- Seq("avg", "max")) {
-      val cells = (3 to 8).map { k =>
-        val xs = ms.filter(m => m.graph == g && m.k == k)
-        if (xs.isEmpty) "n/a"
+    sb ++= f"${"graph"}%-6s ${"stat"}%-5s" + sweepKs.map(k => f"${"k=" + k}%12s").mkString + "\n"
+    for (g <- sweepGraphs; stat <- Seq("avg", "max")) {
+      val cells = sweepKs.map { k =>
+        val rs = cell(spark, g, "IDX-DFS", k).map(_.enum)
+        if (rs.isEmpty) "n/a"
         else {
-          val v = if (stat == "avg") mean(xs.map(_.results.toDouble)) else xs.map(_.results).max.toDouble
-          sci(v) + (if (xs.exists(_.timedOut)) "*" else "")
+          val v = if (stat == "avg") mean(rs.map(_.results.toDouble)) else rs.map(_.results).max.toDouble
+          sci(v) + (if (rs.exists(_.timedOut)) "*" else "")
         }
       }
       sb ++= f"$g%-6s $stat%-5s" + cells.map(c => f"$c%12s").mkString + "\n"
@@ -183,18 +190,17 @@ object BenchTables {
 
   // ---------------------------------------------------------------- Table 7
   def table7(spark: SparkSession): String = {
-    val ms = sweep(spark).filter(_.algo == "IDX-JOIN")
     val sb = new StringBuilder
     sb ++= "Table 7: Maximum memory (MB) of the index and of IDX-JOIN partial results\n"
-    sb ++= "(materialized cells x 8 bytes; paper measures process memory).\n"
-    sb ++= f"${"part"}%-16s ${"graph"}%-6s" + (3 to 8).map(k => f"${"k=" + k}%10s").mkString + "\n"
-    for ((part, get) <- Seq[(String, QueryMetrics => Double)](
-           ("Index", m => m.indexBytes / 1e6),
-           ("Partial Results", m => m.peakPartialCells * 8 / 1e6));
-         g <- Seq("ep", "gg")) {
-      val cells = (3 to 8).map { k =>
-        val xs = ms.filter(m => m.graph == g && m.k == k)
-        if (xs.isEmpty) "n/a" else f"${xs.map(get).max}%.2f"
+    sb ++= "(index arrays in bytes; materialized cells x 8 bytes; paper measures process memory).\n"
+    sb ++= f"${"part"}%-16s ${"graph"}%-6s" + sweepKs.map(k => f"${"k=" + k}%10s").mkString + "\n"
+    for ((part, get) <- Seq[(String, PathEnumResult => Double)](
+           ("Index", _.indexBytes / 1e6),
+           ("Partial Results", _.enum.peakPartialCells * 8 / 1e6));
+         g <- sweepGraphs) {
+      val cells = sweepKs.map { k =>
+        val rs = cell(spark, g, "IDX-JOIN", k)
+        if (rs.isEmpty) "n/a" else f"${rs.map(get).max}%.2f"
       }
       sb ++= f"$part%-16s $g%-6s" + cells.map(c => f"$c%10s").mkString + "\n"
     }

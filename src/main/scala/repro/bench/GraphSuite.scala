@@ -9,9 +9,11 @@ import scala.collection.mutable
   *
   * Scaled ~1/100 linearly; average degree preserved except for the two
   * densest graphs (`da` davg 205.7, `ye` davg 104.5), which are density-
-  * capped to keep per-level materialization feasible on a single dataflow
-  * session — see DESIGN.md "Data substitutions". `tm` is the scalability
-  * graph and is excluded from the overall comparison, as in the paper.
+  * capped. The caps were sized for a level-by-level Spark enumerator that
+  * no longer exists; they stay so that the tables measured on these analogs
+  * stay comparable — see DESIGN.md "Data substitutions". `tm` is the
+  * scalability graph and is excluded from the overall comparison, as in the
+  * paper.
   */
 final case class GraphSpec(
     name: String,

@@ -51,7 +51,8 @@ object Estimator {
 
   /** Preliminary estimate T̂ of the search-space size (Equation 5):
     * T̂ = Σ_{0<=i<=k-1} Π_{0<=j<=i} γ̂_j with
-    * γ̂_i = avg over v in C_i of |I_t(v, k-i-1)|.
+    * γ̂_i = avg over v in C_i of |I_t(v, k-i-1)|, the length of the
+    * dt-sorted prefix of v's slots.
     */
   def preliminary(spark: SparkSession, index: LightIndex[_]): Double = {
     val k = index.query.k
@@ -59,7 +60,7 @@ object Estimator {
     val (ds, dt) = (index.ds, index.dt)
     val gamma = (0 until k).map { i =>
       val ci = g.ids.indices.filter(v => ds(v) <= i && dt(v) <= k - i)
-      val out = ci.map(v => (g.first(v) until g.end(v)).count(e => g.dt(e) <= k - i - 1).toLong).sum
+      val out = ci.map(v => (g.first(v) until g.end(v)).segmentLength(e => g.dt(e) <= k - i - 1).toLong).sum
       if (ci.isEmpty) 0.0 else out.toDouble / ci.size
     }
     (0 until k).map(i => (0 to i).map(gamma).product).sum
@@ -76,11 +77,11 @@ object Estimator {
     val t = g.vertex(index.query.t)
 
     /** Calls `f(v, w)` for every hop `v -> w` into position `p + 1` of a
-      * padded walk: slots of `v in I(p)` within `I_t(v, k-p-1)`, plus the
-      * `(t,t)` padding. */
+      * padded walk: the slots of `v in I(p)` in the dt-sorted prefix
+      * `I_t(v, k-p-1)`, plus the `(t,t)` padding. */
     def hops(p: Int)(f: (Int, Int) => Unit): Unit =
       for (v <- g.ids.indices if ds(v) <= p && dt(v) <= k - p) {
-        for (e <- g.first(v) until g.end(v) if g.dt(e) <= k - p - 1) f(v, g.dst(e))
+        for (e <- (g.first(v) until g.end(v)).takeWhile(e => g.dt(e) <= k - p - 1)) f(v, g.dst(e))
         if (v == t) f(t, t)
       }
     def seed(v: Int): Array[Long] = {

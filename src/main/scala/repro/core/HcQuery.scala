@@ -56,8 +56,4 @@ final case class EnumResult(
     responseMs: Option[Double],
     timedOut: Boolean,
     peakPartialCells: Long,
-    paths: Option[Seq[Seq[Long]]]) {
-  /** Results per second, from results found when the run ended (the paper
-    * computes throughput the same way for timed-out queries). */
-  def throughput: Double = if (elapsedMs <= 0) 0.0 else results * 1000.0 / elapsedMs
-}
+    paths: Option[Seq[Seq[Long]]])

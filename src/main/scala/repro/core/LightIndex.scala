@@ -34,9 +34,10 @@ final case class LightIndex[A](
   def edgeCount: Long = local.edgeCount
   def vertexCount: Long = local.vertexCount
 
-  /** Index memory in the sense of Table 7: materialized cells x 8 bytes
-    * (6 longs per distinct indexed edge + 3 per vertex-stat row). */
-  def memoryBytes: Long = edgeCount * 6 * 8 + vertexCount * 3 * 8
+  /** Index memory in the sense of Table 7: the bytes of its arrays.
+    * `local` has `ids` (8 per vertex), `offsets` (4 per vertex, plus 4) and
+    * the slots' `dst` and `dt` (4 each); `ds` and `dt` have 4 per vertex. */
+  def memoryBytes: Long = edgeCount * 8 + vertexCount * 20 + 4
 
   /** Nothing is cached on Spark: the index lives on the driver. */
   def unpersist(): Unit = ()

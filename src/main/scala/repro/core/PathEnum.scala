@@ -12,7 +12,7 @@ final case class PlanInfo(
 
 /** Outcome of a full PathEnum run (index build + optimize + enumerate). */
 final case class PathEnumResult(
-    enum: EnumResult,
+    `enum`: EnumResult,
     planInfo: PlanInfo,
     indexBuildMs: Double,
     optimizeMs: Double,
@@ -21,6 +21,16 @@ final case class PathEnumResult(
   /** Total query time: preprocessing + optimization + enumeration (the
     * paper's query-time metric includes all three). */
   def queryTimeMs: Double = indexBuildMs + optimizeMs + enum.elapsedMs
+
+  /** Results per second of the query time (Section 7), from the results
+    * found when the run ended, as the paper does for killed queries; 0 for
+    * an instant run. */
+  def throughput: Double = if (queryTimeMs <= 0) 0.0 else enum.results * 1000.0 / queryTimeMs
+
+  /** Response time from the query's start: the enumeration's, plus index
+    * build and optimization; the whole query time where the enumeration
+    * recorded none (a JOIN plan, or a run cut off short of the target). */
+  def responseMs: Double = enum.responseMs.fold(queryTimeMs)(_ + indexBuildMs + optimizeMs)
 }
 
 /** Top-level PathEnum (Figure 2): build the light-weight index, run the

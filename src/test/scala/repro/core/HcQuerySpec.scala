@@ -13,15 +13,23 @@ class HcQuerySpec extends AnyFunSuite {
     HcQuery(1L, 2L, 2) // ok
   }
 
+  private val plan = PlanInfo("DFS(forced)", -1, None, None, None)
+
   test("throughput is results per second") {
-    val r = EnumResult(500, Seq(500), elapsedMs = 250.0, Some(10.0),
-      timedOut = false, 0, None)
+    // Both count the query from its start: index build, optimization and
+    // enumeration (150 + 20 + 80 ms here).
+    val e = EnumResult(500, Seq(500), elapsedMs = 80.0, Some(10.0), timedOut = false, 0, None)
+    val r = PathEnumResult(e, plan, indexBuildMs = 150.0, optimizeMs = 20.0, 0, 0)
     assert(math.abs(r.throughput - 2000.0) < 1e-9)
+    assert(math.abs(r.responseMs - 180.0) < 1e-9)
+    // With no response recorded (a JOIN plan), the response is the query.
+    assert(math.abs(r.copy(`enum` = e.copy(responseMs = None)).responseMs - 250.0) < 1e-9)
   }
 
   test("throughput of an instant run is zero, not NaN") {
-    val r = EnumResult(0, Seq.empty, elapsedMs = 0.0, None, timedOut = false, 0, None)
-    assert(r.throughput == 0.0)
+    val e = EnumResult(0, Seq.empty, elapsedMs = 0.0, None, timedOut = false, 0, None)
+    val r = PathEnumResult(e, plan, 0.0, 0.0, 0, 0)
+    assert(r.throughput == 0.0 && r.responseMs == 0.0)
   }
 
   test("DpEstimate helpers on a hand example") {

@@ -73,7 +73,7 @@ class LightIndexSpec extends ReproSpec {
 
   test("memoryBytes counts edge and vertex cells") {
     val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
-    assert(idx.memoryBytes == idx.edgeCount * 48 + idx.vertexCount * 24)
+    assert(idx.memoryBytes == idx.edgeCount * 8 + idx.vertexCount * 20 + 4)
   }
 
   /** The searches from s and to t of the index build meet in the middle:
