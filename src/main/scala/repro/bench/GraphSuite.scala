@@ -51,10 +51,14 @@ object GraphSuite {
 
   private val cache = mutable.Map.empty[String, DataFrame]
 
-  /** Generate (or fetch cached) edges for a spec; persisted + counted. */
+  /** Generate (or fetch cached) edges for a spec; persisted + counted.
+    * The generator ends in a global `limit`, one partition, so the edges
+    * are spread over the session's cores first: a hop of the query path is
+    * one task per partition. */
   def edges(spark: SparkSession, s: GraphSpec): DataFrame = synchronized {
     cache.getOrElseUpdate(s.name, {
       val df = GraphGen.powerLaw(spark, s.vertices, s.edgesTarget, s.alpha, s.seed)
+        .repartition(spark.sparkContext.defaultParallelism)
         .persist(StorageLevel.MEMORY_AND_DISK)
       df.count()
       df

@@ -2,6 +2,8 @@ package repro.core
 
 import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.graph.Bfs
+import scala.reflect.ClassTag
 
 /** Variant-constraint extensions (Appendix E).
   *
@@ -56,7 +58,7 @@ object Extensions {
       init, accepts) { g =>
       val t = g.vertex(q.t)
       (acc, e) => Some(op(acc, g.attr(e))).filter(v => g.dst(e) == t || prune.forall(_(v)))
-    }(Ordering.Double.TotalOrdering)
+    }(Ordering.Double.TotalOrdering, ClassTag.Double)
 
   /** Action-sequence constraint (Algorithm 8) on labeled edges
     * `(src, dst, lbl)` with DFA transitions `(state, lbl, next)` and a set
@@ -79,12 +81,13 @@ object Extensions {
     * through the index's own edge job, and run the search over it from
     * `init` with the hop test `next(g)`. Returns the accepted paths with
     * their final values. */
-  private def runIndexed[A: Ordering, S](graphEdges: DataFrame, attr: Column,
+  private def runIndexed[A: Ordering: ClassTag, S](graphEdges: DataFrame, attr: Column,
                                          get: Row => A, q: HcQuery, cfg: EnumConfig, plan: String,
                                          init: S, accept: S => Boolean)(
                                          next: Adjacency[A] => LeftDeepEnum.Hop[S]
                                         ): (PathEnumResult, Seq[(Seq[Long], S)]) = {
-    val index = LightIndex.collect(graphEdges, q, Seq(attr))(get)
+    val edges = Bfs.pairs(graphEdges.select(col("src"), col("dst"), attr))
+    val index = LightIndex.collect(edges, q)(get)
     val g = index.local
     val (res, found) = LeftDeepEnum.searchWith(g, q, cfg, init, next(g), accept, keep = true)
     (PathEnum.result(index, res, PlanInfo(plan, -1, None, None, None), 0.0), found)

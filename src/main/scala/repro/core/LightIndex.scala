@@ -1,8 +1,10 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import repro.graph.Bfs
+import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** The paper's light-weight query-dependent index (Algorithm 3), held on
   * the driver in the paper's own layout.
@@ -46,18 +48,43 @@ final case class LightIndex[A](
 object LightIndex {
 
   /** Build the index for `q` over `graphEdges` (columns `src`, `dst`): at
-    * most ⌈k/2⌉ Spark jobs (see [[collect]]). */
+    * most ⌈k/2⌉ Spark jobs (see [[collect]]) over its memoized `rdd`. */
   def build(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): LightIndex[Unit] =
-    collect(graphEdges, q, Nil)(_ => ())
+    collect(Bfs.pairs(graphEdges), q)(_ => ())
+
+  /** The edges of one partition that can lie on a path of `q` by the lower
+    * bounds `nearS` and `nearT` (`far` where unreached), each with its
+    * `attr`. */
+  private final class CandidateTask[A: ClassTag](src: Int, dst: Int, q: HcQuery, far: Int,
+                                                 nearS: Bfs.Distances, nearT: Bfs.Distances,
+                                                 attr: Row => A)
+      extends Bfs.Task[(Array[Long], Array[Long], Array[A])] {
+    def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long], Array[A]) = {
+      val (us, vs, as) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
+        mutable.ArrayBuilder.make[A])
+      while (it.hasNext) {
+        val r = it.next()
+        val u = Bfs.id(r, src)
+        val v = Bfs.id(r, dst)
+        if (u != q.t && v != q.s && nearS(u, far) + 1 + nearT(v, far) <= q.k) {
+          us.addOne(u)
+          vs.addOne(v)
+          as += attr(r)
+        }
+      }
+      (us.result(), vs.result(), as.result())
+    }
+  }
 
   /** Builds the index for `q` with one slot per distinct `(src, dst,
-    * attr(row))`, where `row` is `(src, dst, attrs...)` of `graphEdges`.
+    * attr(row))` of the rows of `edges`.
     *
     * The two searches meet in the middle. The fused BFS ([[Bfs.search]]
     * with [[Bfs.sparkHop]]) runs only j = ⌊(k − 1)/2⌋ hops. Call `lbS(v)`
     * its `ds(v)` and `lbT(v)` its `dt(v)`, or j + 1 where it did not reach
     * `v`: both are lower bounds of the true distances. One more job over
-    * the same edges returns the *candidate* edges `(u, v)` with `u != t`,
+    * the same edges ([[CandidateTask]], run by [[Bfs.Edges.run]] like each
+    * hop) returns the *candidate* edges `(u, v)` with `u != t`,
     * `v != s` and `lbS(u) + 1 + lbT(v) <= k`: ⌈k/2⌉ jobs in all. j is the
     * least radius at which an edge between two unreached vertices fails
     * that test (2(j + 1) + 1 > k), so it follows from k.
@@ -73,24 +100,31 @@ object LightIndex {
     * outside X gets `ds + dt <= k`. The index conditions are then checked
     * on the candidates and keep exactly the index edges.
     */
-  private[core] def collect[A: Ordering](graphEdges: DataFrame, q: HcQuery,
-                                         attrs: Seq[Column])(attr: Row => A): LightIndex[A] = {
+  private[core] def collect[A: Ordering: ClassTag](edges: Bfs.Edges, q: HcQuery)(
+      attr: Row => A): LightIndex[A] = {
     val t0 = System.nanoTime()
-    val rows = graphEdges.select(col("src").cast("long") +: col("dst").cast("long") +: attrs: _*).rdd
     val j = (q.k - 1) / 2
-    val (nearS, nearT) = Bfs.search(Bfs.sparkHop(rows.map(r => (r.getLong(0), r.getLong(1)))),
-      Some(q.s), Some(q.t), j, sStop = Set(q.t), tStop = Set(q.s))
-    val candidates = rows.mapPartitions(_.flatMap { r =>
-      val (u, v) = (r.getLong(0), r.getLong(1))
-      if (u != q.t && v != q.s && nearS.getOrElse(u, j + 1) + 1 + nearT.getOrElse(v, j + 1) <= q.k)
-        Some((u, v, attr(r)))
-      else None
-    }).collect().toSeq
-    val (ds, dt) = Bfs.search(Bfs.driverHop(candidates.map(c => (c._1, c._2))),
-      Some(q.s), Some(q.t), q.k, sStop = Set(q.t), tStop = Set(q.s))
+    val (nearS, nearT) = Bfs.search(Bfs.sparkHop(edges), Some(q.s), Some(q.t), j,
+      sStop = Set(q.t), tStop = Set(q.s))
+    val found = edges.run(new CandidateTask(edges.src, edges.dst, q, j + 1,
+      new Bfs.Distances(nearS), new Bfs.Distances(nearT), attr))
+    val (src, dst, attrs) = (Bfs.concat(found.map(_._1)),
+      Bfs.concat(found.map(_._2)), Bfs.concat(found.map(_._3)))
+    val (ds, dt) = Bfs.search(Bfs.driverHop(src, dst), Some(q.s), Some(q.t), q.k,
+      sStop = Set(q.t), tStop = Set(q.s))
     def inX(v: Long): Boolean = ds.contains(v) && dt.contains(v) && ds(v) + dt(v) <= q.k
-    val local = Adjacency(for ((u, v, a) <- candidates if inX(u) && inX(v) && ds(u) + 1 + dt(v) <= q.k)
-      yield (u, v, dt(v), a))
+    val (u, v, d, a) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
+      new mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.make[A])
+    for (i <- src.indices) {
+      if (inX(src(i)) && inX(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
+        u.addOne(src(i))
+        v.addOne(dst(i))
+        d.addOne(dt(dst(i)))
+        a += attrs(i)
+      }
+      () // a Unit body keeps the loop unboxed
+    }
+    val local = Adjacency(u.result(), v.result(), d.result(), a.result())
     LightIndex(q, (System.nanoTime() - t0) / 1e6, local, local.ids.map(ds), local.ids.map(dt))
   }
 }

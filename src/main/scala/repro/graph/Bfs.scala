@@ -1,9 +1,10 @@
 package repro.graph
 
+import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
 /** Bounded breadth-first-search distances: one loop, [[search]], over
   * either of two sources of hops.
@@ -15,9 +16,9 @@ import scala.collection.mutable
   * backward one. The visited maps and the dedup stay on the driver, so a
   * hop returns only candidate frontier vertices.
   *
-  *  - [[sparkHop]] scans the edges as an `(src, dst)` RDD ([[pairs]]) with
-  *    a single `mapPartitions` job. The frontiers travel in the task
-  *    closure, so every hop runs the same plan with no SQL join or shuffle:
+  *  - [[sparkHop]] scans the caller's edges ([[pairs]]) with one Spark job,
+  *    run by [[Edges.run]]. The frontiers travel in the task as sorted
+  *    arrays, so every hop runs the same plan with no SQL join or shuffle:
   *    one Spark job per hop.
   *  - [[driverHop]] looks the frontiers up in edges already collected on
   *    the driver, and runs no job. [[repro.core.LightIndex]] finishes
@@ -33,31 +34,115 @@ import scala.collection.mutable
 object Bfs {
 
   /** One hop of both searches: `(forward frontier, backward frontier)` to
-    * `(successors, predecessors)`, duplicates allowed. */
-  type Hop = (Set[Long], Set[Long]) => (Array[Long], Array[Long])
+    * `(successors, predecessors)`, duplicates allowed. A frontier is sorted
+    * and distinct. */
+  type Hop = (Array[Long], Array[Long]) => (Array[Long], Array[Long])
 
-  /** The `(src, dst)` pairs of an edge DataFrame: the RDD a search scans. */
-  def pairs(edges: DataFrame): RDD[(Long, Long)] =
-    edges.select(col("src").cast("long"), col("dst").cast("long")).rdd
-      .map(r => (r.getLong(0), r.getLong(1)))
+  /** A Spark task over the rows of an [[Edges]] scan: a named class, never
+    * a lambda (see [[Edges.run]]). */
+  abstract class Task[U] extends ((TaskContext, Iterator[Row]) => U) with Serializable
 
-  /** A hop as one `mapPartitions` job over `edges`. */
-  def sparkHop(edges: RDD[(Long, Long)]): Hop = (f, b) => {
-    val found = edges.mapPartitions { it =>
-      val (succ, pred) = (mutable.HashSet.empty[Long], mutable.HashSet.empty[Long])
-      it.foreach { case (u, v) =>
-        if (f(u)) succ += v
-        if (b(v)) pred += u
-      }
-      Iterator((succ.toArray, pred.toArray))
-    }.collect()
-    (found.flatMap(_._1), found.flatMap(_._2))
+  /** The rows of an edge DataFrame as Spark scans them, with the positions
+    * of `src` and `dst` in a row. */
+  final case class Edges(rows: RDD[Row], src: Int, dst: Int) {
+
+    /** Runs `task` on every partition of the rows as one Spark job, and
+      * returns its results in partition order. Every Spark job of the query
+      * path goes through here.
+      *
+      * Spark's closure cleaner costs most of a small job's driver work when
+      * it is handed a Scala lambda: it re-reads the class file that defines
+      * the lambda to look for `return` statements. `RDD.collect` hands it
+      * Spark's own lambda, defined in `RDD.class`, and the one-argument
+      * `SparkContext.runJob` wraps its function in a lambda defined in
+      * `SparkContext.class`. Both are large classes. The cleaner skips that
+      * step for a function object that is not a lambda, so each task is an
+      * instance of a named [[Task]] class, handed to the two-argument
+      * overload, which cleans it as it is. Spark then only checks that the
+      * task serializes. */
+    def run[U: ClassTag](task: Task[U]): Array[U] =
+      rows.sparkContext.runJob(rows, task, rows.partitions.indices)
   }
 
-  /** A hop over `edges` held on the driver: no job. */
-  def driverHop(edges: Iterable[(Long, Long)]): Hop = {
-    val (out, in) = (edges.groupMap(_._1)(_._2), edges.groupMap(_._2)(_._1))
-    (f, b) => (f.toArray.flatMap(out.getOrElse(_, Nil)), b.toArray.flatMap(in.getOrElse(_, Nil)))
+  /** The edges of `edges` (columns `src` and `dst`, of any integral type)
+    * as the search scans them. `Dataset.rdd` is memoized on the DataFrame,
+    * so a caller that reuses its DataFrame has it planned once. */
+  def pairs(edges: DataFrame): Edges =
+    Edges(edges.rdd, edges.schema.fieldIndex("src"), edges.schema.fieldIndex("dst"))
+
+  /** The value of column `i` of `r`, an integral vertex id, as a `Long`. */
+  def id(r: Row, i: Int): Long = r.get(i).asInstanceOf[Number].longValue
+
+  /** `xs` sorted in place, and its distinct values. */
+  def sortedDistinct(xs: Array[Long]): Array[Long] = {
+    java.util.Arrays.sort(xs)
+    var n = 0
+    var i = 0
+    while (i < xs.length) {
+      if (n == 0 || xs(i) != xs(n - 1)) { xs(n) = xs(i); n += 1 }
+      i += 1
+    }
+    java.util.Arrays.copyOf(xs, n)
+  }
+
+  /** A job's per-partition arrays joined in partition order, copied once. */
+  def concat[T: ClassTag](parts: Array[Array[T]]): Array[T] = Array.concat(parts.toSeq: _*)
+
+  /** Whether the sorted array `xs` holds `v`. */
+  def has(xs: Array[Long], v: Long): Boolean = java.util.Arrays.binarySearch(xs, v) >= 0
+
+  /** One hop of both searches over one partition: the distinct successors
+    * of `fwd` and predecessors of `bwd`. */
+  private final class HopTask(src: Int, dst: Int, fwd: Array[Long], bwd: Array[Long])
+      extends Task[(Array[Long], Array[Long])] {
+    def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long]) = {
+      val (succ, pred) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong)
+      while (it.hasNext) {
+        val r = it.next()
+        val u = id(r, src)
+        val v = id(r, dst)
+        if (has(fwd, u)) succ.addOne(v)
+        if (has(bwd, v)) pred.addOne(u)
+      }
+      (sortedDistinct(succ.result()), sortedDistinct(pred.result()))
+    }
+  }
+
+  /** A hop as one Spark job over `edges`. */
+  def sparkHop(edges: Edges): Hop = (f, b) => {
+    val found = edges.run(new HopTask(edges.src, edges.dst, f, b))
+    (concat(found.map(_._1)), concat(found.map(_._2)))
+  }
+
+  /** A hop over the edges `src(i) -> dst(i)` held on the driver: no job. */
+  def driverHop(src: Array[Long], dst: Array[Long]): Hop = {
+    val (out, in) = (neighbors(src, dst), neighbors(dst, src))
+    (f, b) => (out(f), in(b))
+  }
+
+  /** The edges `from(i) -> to(i)` grouped by `from`, as the function from a
+    * frontier to the `to`s of its vertices. */
+  private def neighbors(from: Array[Long], to: Array[Long]): Array[Long] => Array[Long] = {
+    val keys = sortedDistinct(from.clone())
+    val offsets = new Array[Int](keys.length + 1)
+    val slot = new Array[Int](from.length)
+    for (i <- from.indices) {
+      slot(i) = java.util.Arrays.binarySearch(keys, from(i))
+      offsets(slot(i) + 1) += 1
+    }
+    for (v <- keys.indices) offsets(v + 1) += offsets(v)
+    val targets = new Array[Long](to.length)
+    val next = java.util.Arrays.copyOf(offsets, keys.length)
+    for (i <- from.indices) { targets(next(slot(i))) = to(i); next(slot(i)) += 1 }
+    frontier => {
+      val out = new mutable.ArrayBuilder.ofLong
+      for (i <- frontier.indices) {
+        val k = java.util.Arrays.binarySearch(keys, frontier(i))
+        if (k >= 0) out.addAll(targets, offsets(k), offsets(k + 1) - offsets(k))
+        () // a Unit body keeps the loop unboxed
+      }
+      out.result()
+    }
   }
 
   /** Distances from `s` along the edges, never expanding through `sStop`,
@@ -66,31 +151,55 @@ object Bfs {
     * source returns an empty map. */
   def search(hop: Hop, s: Option[Long], t: Option[Long], maxHops: Int,
              sStop: Set[Long] = Set.empty,
-             tStop: Set[Long] = Set.empty): (Map[Long, Int], Map[Long, Int]) = {
+             tStop: Set[Long] = Set.empty): (mutable.LongMap[Int], mutable.LongMap[Int]) = {
     val ds = mutable.LongMap.empty[Int] ++= s.map(_ -> 0)
     val dt = mutable.LongMap.empty[Int] ++= t.map(_ -> 0)
     // Records the vertices of `found` not seen before as reached at `n`,
-    // and returns those the next hop expands.
-    def reach(dist: mutable.LongMap[Int], found: Array[Long], stop: Set[Long], n: Int): Set[Long] = {
-      val fresh = found.filterNot(dist.contains).toSet
-      fresh.foreach(dist(_) = n)
-      fresh -- stop
+    // and returns those the next hop expands, sorted.
+    def reach(dist: mutable.LongMap[Int], found: Array[Long], stop: Array[Long], n: Int): Array[Long] = {
+      val next = new mutable.ArrayBuilder.ofLong
+      for (i <- found.indices) {
+        val v = found(i)
+        if (!dist.contains(v)) {
+          dist(v) = n
+          if (!has(stop, v)) next.addOne(v)
+        }
+        () // a Unit body keeps the loop unboxed
+      }
+      val fresh = next.result()
+      java.util.Arrays.sort(fresh)
+      fresh
     }
-    var (fwd, bwd) = (s.toSet -- sStop, t.toSet -- tStop)
+    val (sStops, tStops) = (sStop.toArray.sorted, tStop.toArray.sorted)
+    var (fwd, bwd) = (s.filterNot(sStop).toArray, t.filterNot(tStop).toArray)
     var n = 1
     while (n <= maxHops && (fwd.nonEmpty || bwd.nonEmpty)) {
       val (succ, pred) = hop(fwd, bwd)
-      fwd = reach(ds, succ, sStop, n)
-      bwd = reach(dt, pred, tStop, n)
+      fwd = reach(ds, succ, sStops, n)
+      bwd = reach(dt, pred, tStops, n)
       n += 1
     }
-    (ds.toMap, dt.toMap)
+    (ds, dt)
+  }
+
+  /** A search's distances as sorted vertex ids and their distances: the
+    * compact form a task carries. */
+  final class Distances(dist: mutable.LongMap[Int]) extends Serializable {
+    private val ids = dist.keysIterator.toArray
+    java.util.Arrays.sort(ids)
+    private val d = ids.map(dist)
+
+    /** The distance of `v`, or `default` where the search did not reach it. */
+    def apply(v: Long, default: Int): Int = {
+      val i = java.util.Arrays.binarySearch(ids, v)
+      if (i >= 0) d(i) else default
+    }
   }
 
   /** Distances from `source` within `maxHops` hops, as a driver-side map. */
   def distanceMap(spark: SparkSession, edges: DataFrame, source: Long,
                   maxHops: Int, noExpand: Set[Long] = Set.empty): Map[Long, Int] =
-    search(sparkHop(pairs(edges)), Some(source), None, maxHops, sStop = noExpand)._1
+    search(sparkHop(pairs(edges)), Some(source), None, maxHops, sStop = noExpand)._1.toMap
 
   /** [[distanceMap]] as a DataFrame `(v: Long, dist: Int)`. Distances *to*
     * a target are obtained by passing `GraphGen.reverse(edges)`. */

@@ -1,5 +1,6 @@
 package repro
 
+import java.lang.management.ManagementFactory
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.SparkContext
@@ -111,5 +112,31 @@ class JobCountSpec extends ReproSpec {
       assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
         cfg)) <= half(k) + 1, s"automaton, k = $k")
     }
+  }
+
+  /** Heap bytes the calling thread allocates in one call of `f`, after one
+    * warm call. */
+  private def allocated(f: => Any): Long = {
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    f
+    val before = mx.getCurrentThreadAllocatedBytes
+    f
+    mx.getCurrentThreadAllocatedBytes - before
+  }
+
+  /** The driver's own cost of a query: what its calling thread allocates.
+    * Spark's closure cleaner re-reading a large class file for each job
+    * allocated 12.7-12.9 MB per index build or PathEnum call and 21.3-21.5 MB
+    * per BC-DFS call here; named tasks and a primitive driver finish
+    * allocate 0.12-0.24 MB (4 cores). */
+  test("index, PathEnum and BC-DFS each allocate under 2 MB on the calling thread on layered (k = 4)") {
+    val edges = edgeDf(TestGraphs.layered)
+    val q = HcQuery(1L, 2L, 4)
+    val bound = 2000000L
+    for ((name, bytes) <- Seq(
+        "index" -> allocated(LightIndex.build(spark, edges, q)),
+        "PathEnum" -> allocated(PathEnum.run(spark, edges, q, cfg)),
+        "BC-DFS" -> allocated(BcDfs.run(spark, edges, q, cfg))))
+      assert(bytes <= bound, s"$name allocated $bytes bytes on the calling thread")
   }
 }

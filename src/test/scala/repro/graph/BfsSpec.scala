@@ -86,7 +86,8 @@ class BfsSpec extends ReproSpec {
         Bfs.search(hop, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L)),
         Bfs.search(hop, Some(1L), None, hops),
         Bfs.search(hop, None, Some(2L), hops, tStop = Set(1L)))
-      assert(both(Bfs.driverHop(pairs)) == both(Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))))
+      assert(both(Bfs.driverHop(pairs.map(_._1).toArray, pairs.map(_._2).toArray)) ==
+        both(Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))))
     }
   }
 }
