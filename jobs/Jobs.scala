@@ -20,6 +20,8 @@ object JobSession {
       // Set before the context starts, so its start-up INFO lines are not
       // printed either.
       .config("spark.log.level", "WARN")
+      // Tasks are broadcast in blocks of this size: the 4 MB default allocates 4 MB per job.
+      .config("spark.broadcast.blockSize", "64k")
       .getOrCreate()
 }
 

@@ -1,60 +1,49 @@
 package repro.baseline
 
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import repro.core.{Adjacency, EnumConfig, HcQuery, LeftDeepEnum, PathEnumResult, PlanInfo}
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{Adjacency, EnumConfig, HcQuery, LeftDeepEnum, LightIndex, PathEnumResult, PlanInfo}
 import repro.graph.Bfs
 import scala.collection.mutable
 
 /** BC-DFS baseline — the state-of-the-art polynomial-delay competitor [29]
   * on the same search routine as IDX-DFS.
   *
-  * Algorithm 1: search over the **full** edge list; before the search, one
-  * BFS to `t` initializes `B(v) = S(v, t | G)` on Spark, one job collects
-  * the relation, and each step only checks
+  * Algorithm 1: before the search, one BFS to `t` initializes
+  * `B(v) = S(v, t | G)` over the whole graph, and each step only checks
   * `L(M) + 1 + B(v') <= k` plus the duplicate-vertex test. (The
   * dynamic barrier maintenance of [29] prunes sub-trees discovered empty;
   * the paper's own measurements — Figure 6 — show it removes few additional
   * partial results versus the static distance check, so the static check is
   * the faithful cost model here.) The contrast with IDX-DFS is exactly the
   * paper's: the search scans every neighbor that passes `B` (no `ds`-side
-  * pruning, no pre-reduced relation), so it visits far more nodes.
+  * pruning of the vertices it enters), so it visits far more nodes.
   */
 object BcDfs {
 
-  /** The edges of one partition whose target has a `B` and whose source
-    * is not `t`, with that `B`. */
-  private final class RelationTask(src: Int, dst: Int, t: Long, b: Bfs.Distances)
-      extends Bfs.Task[(Array[Long], Array[Long], Array[Int])] {
-    def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long], Array[Int]) = {
-      val (us, vs, bs) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
-        new mutable.ArrayBuilder.ofInt)
-      while (it.hasNext) {
-        val r = it.next()
-        val u = Bfs.id(r, src)
-        val v = Bfs.id(r, dst)
-        val d = b(v, -1)
-        if (u != t && d >= 0) {
-          us.addOne(u)
-          vs.addOne(v)
-          bs.addOne(d)
-        }
-      }
-      (us.result(), vs.result(), bs.result())
-    }
-  }
-
-  /** Edge relation `(src, dst, B(dst))`: `B` is the BFS distance to `t`
-    * over the full graph, k − 1 hops (no hop with `B(v') = k` passes
-    * `L(M) + 1 + B(v') <= k`), then one job ([[RelationTask]]) keeps the
-    * edges whose target has a `B` and whose source is not `t` (Definition
-    * 2.1 stops at t): k jobs in all, each run by [[Bfs.Edges.run]]. */
+  /** Edge relation `(src, dst, B(dst))` holding every edge the search can
+    * read, built like the index in ⌈k/2⌉ Spark jobs: the
+    * [[LightIndex.candidates]] of `q` with no stop set to `t` (`B` may pass
+    * through `s`), then `B` over them for k − 1 hops on the driver
+    * ([[Bfs.driverHop]]), keeping the edges whose target has a `B`.
+    *
+    * The search reads `(u, v)` at depth `L` only if `L + 1 + B(v) <= k`,
+    * and `lbS(u) <= L`, `lbT(v) <= B(v)`, so it is a candidate. So is each
+    * edge `(x, y)` on a shortest v→t path: `lbS(x) + 1 + lbT(y) <=
+    * L + 1 + B(v) <= k`, so `B(v)` is exact. Slots are ordered by `(B, id)`:
+    * the search scans the same prefixes, in the same order, as over `G`.
+    */
   private def rows(graphEdges: DataFrame, q: HcQuery): (Array[Long], Array[Long], Array[Int]) = {
-    val edges = Bfs.pairs(graphEdges)
-    val b = Bfs.search(Bfs.sparkHop(edges), None, Some(q.t), q.k - 1)._2
-    val found = edges.run(new RelationTask(edges.src, edges.dst, q.t, new Bfs.Distances(b)))
-    (Bfs.concat(found.map(_._1)), Bfs.concat(found.map(_._2)),
-      Bfs.concat(found.map(_._3)))
+    val (src, dst, _) = LightIndex.candidates(Bfs.pairs(graphEdges), q, Set.empty)(_ => ())
+    val b = Bfs.search(Bfs.driverHop(src, dst), None, Some(q.t), q.k - 1)._2
+    val (u, v, d) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
+      new mutable.ArrayBuilder.ofInt)
+    for (i <- src.indices) if (b.contains(dst(i))) {
+      u.addOne(src(i))
+      v.addOne(dst(i))
+      d.addOne(b(dst(i)))
+      () // a Unit body keeps the loop unboxed
+    }
+    (u.result(), v.result(), d.result())
   }
 
   /** The relation `(er_src, er_dst, er_dt)` as a DataFrame, with its build

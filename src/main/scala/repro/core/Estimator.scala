@@ -59,9 +59,14 @@ object Estimator {
     val g = index.local
     val (ds, dt) = (index.ds, index.dt)
     val gamma = (0 until k).map { i =>
-      val ci = g.ids.indices.filter(v => ds(v) <= i && dt(v) <= k - i)
-      val out = ci.map(v => (g.first(v) until g.end(v)).segmentLength(e => g.dt(e) <= k - i - 1).toLong).sum
-      if (ci.isEmpty) 0.0 else out.toDouble / ci.size
+      var ci, out = 0L
+      for (v <- g.ids.indices) if (ds(v) <= i && dt(v) <= k - i) {
+        var e = g.first(v)
+        while (e < g.end(v) && g.dt(e) <= k - i - 1) e += 1
+        ci += 1
+        out += e - g.first(v)
+      }
+      if (ci == 0) 0.0 else out.toDouble / ci
     }
     (0 until k).map(i => (0 to i).map(gamma).product).sum
   }
@@ -80,8 +85,9 @@ object Estimator {
       * padded walk: the slots of `v in I(p)` in the dt-sorted prefix
       * `I_t(v, k-p-1)`, plus the `(t,t)` padding. */
     def hops(p: Int)(f: (Int, Int) => Unit): Unit =
-      for (v <- g.ids.indices if ds(v) <= p && dt(v) <= k - p) {
-        for (e <- (g.first(v) until g.end(v)).takeWhile(e => g.dt(e) <= k - p - 1)) f(v, g.dst(e))
+      for (v <- g.ids.indices) if (ds(v) <= p && dt(v) <= k - p) {
+        var e = g.first(v)
+        while (e < g.end(v) && g.dt(e) <= k - p - 1) { f(v, g.dst(e)); e += 1 }
         if (v == t) f(t, t)
       }
     def seed(v: Int): Array[Long] = {

@@ -12,8 +12,8 @@ import scala.collection.mutable.ListBuffer
   * target is not on the path (Alg. 4 line 7), and it holds only the
   * current path. The relation decides the algorithm:
   *   - IDX-DFS: the pruned [[LightIndex]] edges (`dt` = indexed dt),
-  *   - BC-DFS : the full edge list with `dt` = BFS distance-to-t over the
-  *     whole graph (Algorithm 1's `B(v)` check) — see [[repro.baseline.BcDfs]],
+  *   - BC-DFS : every edge this search can read, with `dt` = BFS distance-to-t
+  *     over the whole graph (Algorithm 1's `B(v)`) — see [[repro.baseline.BcDfs]],
   *   - both halves of [[JoinEnum]], and the Appendix E variants with one
   *     value per path — see [[Extensions]].
   *

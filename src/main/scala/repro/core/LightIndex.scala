@@ -53,11 +53,11 @@ object LightIndex {
     collect(Bfs.pairs(graphEdges), q)(_ => ())
 
   /** The edges of one partition that can lie on a path of `q` by the lower
-    * bounds `nearS` and `nearT` (`far` where unreached), each with its
-    * `attr`. */
-  private final class CandidateTask[A: ClassTag](src: Int, dst: Int, q: HcQuery, far: Int,
-                                                 nearS: Bfs.Distances, nearT: Bfs.Distances,
-                                                 attr: Row => A)
+    * bounds `nearS` and `nearT` (`far` where unreached) and whose target is
+    * not in the sorted `tStop`, each with its `attr`. */
+  private final class CandidateTask[A: ClassTag](src: Int, dst: Int, q: HcQuery, tStop: Array[Long],
+                                                 far: Int, nearS: Bfs.Distances,
+                                                 nearT: Bfs.Distances, attr: Row => A)
       extends Bfs.Task[(Array[Long], Array[Long], Array[A])] {
     def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long], Array[A]) = {
       val (us, vs, as) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
@@ -66,7 +66,7 @@ object LightIndex {
         val r = it.next()
         val u = Bfs.id(r, src)
         val v = Bfs.id(r, dst)
-        if (u != q.t && v != q.s && nearS(u, far) + 1 + nearT(v, far) <= q.k) {
+        if (u != q.t && !Bfs.has(tStop, v) && nearS(u, far) + 1 + nearT(v, far) <= q.k) {
           us.addOne(u)
           vs.addOne(v)
           as += attr(r)
@@ -76,52 +76,54 @@ object LightIndex {
     }
   }
 
+  /** The edges of `edges` that can lie on a path of `q`, each with its
+    * `attr(row)`, in ⌈k/2⌉ Spark jobs: the Spark part of both the index
+    * ([[collect]]) and BC-DFS's relation ([[repro.baseline.BcDfs]]).
+    *
+    * The searches from `s`, never expanding `t`, and to `t`, never expanding
+    * `tStop`, meet in the middle: the fused BFS ([[Bfs.search]] with
+    * [[Bfs.sparkHop]]) runs j = ⌊(k − 1)/2⌋ hops. Its distances, or j + 1
+    * where it did not reach a vertex, are lower bounds `lbS` and `lbT` of
+    * the true `dS` and `dT`. One more job ([[CandidateTask]]) returns the
+    * edges `(u, v)` with `u != t`, `v` not in `tStop` and
+    * `lbS(u) + 1 + lbT(v) <= k`; j is the least radius at which an edge
+    * between two unreached vertices fails that test (2(j + 1) + 1 > k).
+    *
+    * Take `u` with `dS(u) + dT(u) <= k`, and `(w, x)` on a shortest s→u or
+    * u→t path: `dS(w) + 1 + dT(x) <= dS(u) + dT(u) <= k`, so `(w, x)` is a
+    * candidate. Searches over the candidates with the same stop sets are
+    * thus exact on `u`, and never below the true distances elsewhere.
+    */
+  private[repro] def candidates[A: ClassTag](edges: Bfs.Edges, q: HcQuery, tStop: Set[Long])(
+      attr: Row => A): (Array[Long], Array[Long], Array[A]) = {
+    val j = (q.k - 1) / 2
+    val (nearS, nearT) = Bfs.search(Bfs.sparkHop(edges), Some(q.s), Some(q.t), j,
+      sStop = Set(q.t), tStop = tStop)
+    val found = edges.run(new CandidateTask(edges.src, edges.dst, q, tStop.toArray.sorted, j + 1,
+      new Bfs.Distances(nearS), new Bfs.Distances(nearT), attr))
+    (Bfs.concat(found.map(_._1)), Bfs.concat(found.map(_._2)), Bfs.concat(found.map(_._3)))
+  }
+
   /** Builds the index for `q` with one slot per distinct `(src, dst,
-    * attr(row))` of the rows of `edges`.
-    *
-    * The two searches meet in the middle. The fused BFS ([[Bfs.search]]
-    * with [[Bfs.sparkHop]]) runs only j = ⌊(k − 1)/2⌋ hops. Call `lbS(v)`
-    * its `ds(v)` and `lbT(v)` its `dt(v)`, or j + 1 where it did not reach
-    * `v`: both are lower bounds of the true distances. One more job over
-    * the same edges ([[CandidateTask]], run by [[Bfs.Edges.run]] like each
-    * hop) returns the *candidate* edges `(u, v)` with `u != t`,
-    * `v != s` and `lbS(u) + 1 + lbT(v) <= k`: ⌈k/2⌉ jobs in all. j is the
-    * least radius at which an edge between two unreached vertices fails
-    * that test (2(j + 1) + 1 > k), so it follows from k.
-    *
-    * The driver then finishes both searches over the candidates for k
-    * hops ([[Bfs.driverHop]], the same stop sets), which is exact on X.
-    * Take `u` with `ds(u) + dt(u) <= k` and an edge `(w, x)` on a shortest
-    * s→u path: `dt(x) <= ds(u) − ds(x) + dt(u)`, so `ds(w) + 1 + dt(x) <=
-    * k`, and the lower bounds pass too. Every such edge is a candidate, so
-    * `ds(u)` is exact, and `dt(u)` likewise. With `u = t` (`dt(t) = 0`) this
-    * gives `ds(t)`, and with `u = s` it gives `dt(s)`, both up to k hops.
-    * Distances over a subgraph are never below the true ones, so no vertex
-    * outside X gets `ds + dt <= k`. The index conditions are then checked
-    * on the candidates and keep exactly the index edges.
+    * attr(row))` of the rows of `edges`. The driver finishes both searches
+    * for k hops over the [[candidates]] with `tStop = {s}` ([[Bfs.driverHop]]),
+    * which is exact on X (and gives `ds(t)` and `dt(s)`), and keeps the
+    * candidates that meet the index conditions: exactly the index edges.
     */
   private[core] def collect[A: Ordering: ClassTag](edges: Bfs.Edges, q: HcQuery)(
       attr: Row => A): LightIndex[A] = {
     val t0 = System.nanoTime()
-    val j = (q.k - 1) / 2
-    val (nearS, nearT) = Bfs.search(Bfs.sparkHop(edges), Some(q.s), Some(q.t), j,
-      sStop = Set(q.t), tStop = Set(q.s))
-    val found = edges.run(new CandidateTask(edges.src, edges.dst, q, j + 1,
-      new Bfs.Distances(nearS), new Bfs.Distances(nearT), attr))
-    val (src, dst, attrs) = (Bfs.concat(found.map(_._1)),
-      Bfs.concat(found.map(_._2)), Bfs.concat(found.map(_._3)))
+    val (src, dst, attrs) = candidates(edges, q, Set(q.s))(attr)
     val (ds, dt) = Bfs.search(Bfs.driverHop(src, dst), Some(q.s), Some(q.t), q.k,
       sStop = Set(q.t), tStop = Set(q.s))
     def inX(v: Long): Boolean = ds.contains(v) && dt.contains(v) && ds(v) + dt(v) <= q.k
     val (u, v, d, a) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
       new mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.make[A])
-    for (i <- src.indices) {
-      if (inX(src(i)) && inX(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
-        u.addOne(src(i))
-        v.addOne(dst(i))
-        d.addOne(dt(dst(i)))
-        a += attrs(i)
-      }
+    for (i <- src.indices) if (inX(src(i)) && inX(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
+      u.addOne(src(i))
+      v.addOne(dst(i))
+      d.addOne(dt(dst(i)))
+      a += attrs(i)
       () // a Unit body keeps the loop unboxed
     }
     val local = Adjacency(u.result(), v.result(), d.result(), a.result())

@@ -21,9 +21,9 @@ import scala.reflect.ClassTag
   *    arrays, so every hop runs the same plan with no SQL join or shuffle:
   *    one Spark job per hop.
   *  - [[driverHop]] looks the frontiers up in edges already collected on
-  *    the driver, and runs no job. [[repro.core.LightIndex]] finishes
-  *    both searches with it, for all k hops, over the candidate edges of a
-  *    meet-in-the-middle search.
+  *    the driver, and runs no job. [[repro.core.LightIndex]] and
+  *    [[repro.baseline.BcDfs]] finish their searches with it over the
+  *    candidate edges of a meet-in-the-middle search.
   *
   * Vertices in a search's stop set (`sStop`, `tStop`, `noExpand`) may be
   * *reached* (they get a distance) but are never *expanded through*. This realizes the paper's
@@ -116,8 +116,9 @@ object Bfs {
 
   /** A hop over the edges `src(i) -> dst(i)` held on the driver: no job. */
   def driverHop(src: Array[Long], dst: Array[Long]): Hop = {
-    val (out, in) = (neighbors(src, dst), neighbors(dst, src))
-    (f, b) => (out(f), in(b))
+    lazy val out = neighbors(src, dst) // built only for a search that uses it
+    lazy val in = neighbors(dst, src)
+    (f, b) => (if (f.isEmpty) f else out(f), if (b.isEmpty) b else in(b))
   }
 
   /** The edges `from(i) -> to(i)` grouped by `from`, as the function from a

@@ -52,6 +52,32 @@ class BcSpec extends ReproSpec {
     assert(r.indexEdges == -1)
   }
 
+  test("every edge the BC-DFS search can read is in its relation with B = S(v, t | G)") {
+    // At depth L the search reads (u, v) only if L + 1 + B(v) <= k, and
+    // L >= ds(u); B is the BFS to t with no stop set.
+    val graphs = TestGraphs.randomCases(9, n = 14, e = 40) ++
+      TestGraphs.randomCases(9, n = 20, e = 90) ++ Seq("layered" -> TestGraphs.layered,
+        "figure1" -> TestGraphs.figure1, "cyclic" -> TestGraphs.cyclic,
+        "selfLoops" -> TestGraphs.selfLoops)
+    for ((name, pairs) <- graphs) {
+      val (ref, edges) = (RefGraph.Ref(pairs), edgeDf(pairs))
+      for (k <- 2 to 6) {
+        val ds = ref.bfs(1L, k, noExpand = Set(2L))
+        val b = ref.bfs(2L, k, reverse = true)
+        val want = pairs.collect { case (u, v)
+          if u != 2L && ds.contains(u) && b.contains(v) && ds(u) + 1 + b(v) <= k => (u, v, b(v))
+        }.toSet
+        val (g, _) = BcDfs.collected(spark, edges, HcQuery(1L, 2L, k))
+        val slots = for (u <- g.ids.indices; e <- g.first(u) until g.end(u))
+          yield (g.ids(u), g.ids(g.dst(e)), g.dt(e))
+        for ((u, v, d) <- slots)
+          assert(b.get(v).exists(_ <= d), s"$name, k = $k: slot ($u, $v) has dt $d below B")
+        assert(slots.filter { case (u, _, d) => ds.get(u).exists(_ + 1 + d <= k) }.toSet == want,
+          s"$name, k = $k")
+      }
+    }
+  }
+
   for ((name, pairs) <- TestGraphs.randomCases(6, n = 12, e = 30)) {
     test(s"BC-DFS equals reference on $name k=4") {
       val r = BcDfs.run(spark, edgeDf(pairs), HcQuery(1L, 2L, 4), cfg)
