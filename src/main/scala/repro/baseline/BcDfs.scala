@@ -20,27 +20,30 @@ import scala.collection.mutable
   */
 object BcDfs {
 
-  /** Edge relation `(src, dst, B(dst))` holding every edge the search can
-    * read, built like the index in ⌈k/2⌉ Spark jobs: the
-    * [[LightIndex.candidates]] of `q` with no stop set to `t` (`B` may pass
-    * through `s`), then `B` over them for k − 1 hops on the driver
-    * ([[Bfs.driverHop]]), keeping the edges whose target has a `B`.
-    *
-    * The search reads `(u, v)` at depth `L` only if `L + 1 + B(v) <= k`,
-    * and `lbS(u) <= L`, `lbT(v) <= B(v)`, so it is a candidate. So is each
-    * edge `(x, y)` on a shortest v→t path: `lbS(x) + 1 + lbT(y) <=
-    * L + 1 + B(v) <= k`, so `B(v)` is exact. Slots are ordered by `(B, id)`:
-    * the search scans the same prefixes, in the same order, as over `G`.
-    */
-  private def rows(graphEdges: DataFrame, q: HcQuery): (Array[Long], Array[Long], Array[Int]) = {
-    val (src, dst, _) = LightIndex.candidates(Bfs.pairs(graphEdges), q, Set.empty)(_ => ())
+  /** The relation `(src, dst, B(dst))`, every edge the search can read, in
+    * ⌈k/2⌉ Spark jobs like the index: [[LightIndex.candidates]] with no stop
+    * set to `t` (`B` may pass through `s`), then [[fromCandidates]]. */
+  private def rows(graphEdges: DataFrame, q: HcQuery): (Array[Long], Array[Long], Array[Int]) =
+    LightIndex.candidates(Bfs.pairs(graphEdges), q, Set.empty)(_ => ()) match {
+      case (src, dst, _) => fromCandidates(src, dst, q)
+    }
+
+  /** The driver finish, with no Spark: `B` over the edges `src(i) -> dst(i)`
+    * for k − 1 hops ([[Bfs.driverHop]]), and the edges with `u != t` whose
+    * target has a `B`. The search reads `(u, v)` at depth `L` only if
+    * `L + 1 + B(v) <= k`, and `lbS(u) <= L`, `lbT(v) <= B(v)`, so it is a
+    * candidate. So is each edge `(x, y)` on a shortest v→t path:
+    * `lbS(x) + 1 + lbT(y) <= L + 1 + B(v) <= k`, so `B(v)` is exact, over
+    * the candidates or any superset of them (the whole edge list too), and
+    * the readable slots are the same. Slots are ordered by `(B, id)`: the
+    * search scans the same prefixes, in the same order, as over `G`. */
+  private[baseline] def fromCandidates(src: Array[Long], dst: Array[Long],
+                                       q: HcQuery): (Array[Long], Array[Long], Array[Int]) = {
     val b = Bfs.search(Bfs.driverHop(src, dst), None, Some(q.t), q.k - 1)._2
     val (u, v, d) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
       new mutable.ArrayBuilder.ofInt)
-    for (i <- src.indices) if (b.contains(dst(i))) {
-      u.addOne(src(i))
-      v.addOne(dst(i))
-      d.addOne(b(dst(i)))
+    for (i <- src.indices) if (src(i) != q.t && b.contains(dst(i))) {
+      u.addOne(src(i)); v.addOne(dst(i)); d.addOne(b(dst(i)))
       () // a Unit body keeps the loop unboxed
     }
     (u.result(), v.result(), d.result())
@@ -51,14 +54,12 @@ object BcDfs {
   def relation(spark: SparkSession, graphEdges: DataFrame, q: HcQuery): (DataFrame, Double) = {
     val t0 = System.nanoTime()
     val (u, v, d) = rows(graphEdges, q)
-    val rel = spark.createDataFrame(u.indices.map(i => (u(i), v(i), d(i))))
-      .toDF("er_src", "er_dst", "er_dt")
-    (rel, (System.nanoTime() - t0) / 1e6)
+    (spark.createDataFrame(u.indices.map(i => (u(i), v(i), d(i)))).toDF("er_src", "er_dst", "er_dt"),
+      (System.nanoTime() - t0) / 1e6)
   }
 
   /** The relation collected for the search, with its build time. */
-  private[baseline] def collected(spark: SparkSession, graphEdges: DataFrame,
-                                  q: HcQuery): (Adjacency[Unit], Double) = {
+  private[baseline] def collected(graphEdges: DataFrame, q: HcQuery): (Adjacency[Unit], Double) = {
     val t0 = System.nanoTime()
     val (u, v, d) = rows(graphEdges, q)
     (Adjacency(u, v, d, Array.fill(u.length)(())), (System.nanoTime() - t0) / 1e6)
@@ -66,7 +67,7 @@ object BcDfs {
 
   def run(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
           cfg: EnumConfig = EnumConfig()): PathEnumResult = {
-    val (g, prepMs) = collected(spark, graphEdges, q)
+    val (g, prepMs) = collected(graphEdges, q)
     PathEnumResult(LeftDeepEnum.search(g, q, cfg), PlanInfo("BC-DFS", -1, None, None, None),
       prepMs, 0.0, -1, -1)
   }

@@ -1,6 +1,6 @@
 package repro.baseline
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.core.{EnumConfig, HcQuery, JoinEnum, PathEnumResult, PlanInfo}
 
 /** BC-JOIN baseline — the join-oriented algorithm of [29].
@@ -15,9 +15,8 @@ import repro.core.{EnumConfig, HcQuery, JoinEnum, PathEnumResult, PlanInfo}
   */
 object BcJoin {
 
-  def run(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
-          cfg: EnumConfig = EnumConfig()): PathEnumResult = {
-    val (g, prepMs) = BcDfs.collected(spark, graphEdges, q)
+  def run(graphEdges: DataFrame, q: HcQuery, cfg: EnumConfig = EnumConfig()): PathEnumResult = {
+    val (g, prepMs) = BcDfs.collected(graphEdges, q)
     val cut = math.min(q.k - 1, math.max(1, math.ceil(q.k / 2.0).toInt))
     PathEnumResult(JoinEnum.search(g, q, cut, cfg), PlanInfo("BC-JOIN", -1, Some(cut), None, None),
       prepMs, 0.0, -1, -1)

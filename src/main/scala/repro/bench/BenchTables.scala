@@ -30,9 +30,9 @@ object BenchTables {
   private val sweepQueries = 3
 
   /** Runs `algo` on `q` and logs it to stderr under `tag`. */
-  private def run(tag: String, spark: SparkSession, graph: String, edges: DataFrame,
-                  algo: String, q: HcQuery): PathEnumResult = {
-    val r = Runner.run(spark, edges, algo, q, cfg)
+  private def run(tag: String, graph: String, edges: DataFrame, algo: String,
+                  q: HcQuery): PathEnumResult = {
+    val r = Runner.run(edges, algo, q, cfg)
     Console.err.println(f"[$tag] $graph/$algo k=${q.k} q(${q.s},${q.t}): ${r.queryTimeMs}%.0f ms, " +
       s"${r.enum.results} results${if (r.enum.timedOut) " (timeout)" else ""}")
     r
@@ -58,10 +58,10 @@ object BenchTables {
   def table3Rows(spark: SparkSession): Seq[T3Row] = {
     for (spec <- GraphSuite.specs if spec.inTable3) yield {
       val edges = GraphSuite.edges(spark, spec)
-      val qs = QueryGen.queries(spark, edges, table3Queries, seed = 1000 + spec.seed)
+      val qs = QueryGen.queries(edges, table3Queries, seed = 1000 + spec.seed)
       Console.err.println(s"[table3] ${spec.name}: ${qs.size} queries generated")
       val byAlgo = Runner.algos.map { a =>
-        a -> qs.map { case (s, t) => run("table3", spark, spec.name, edges, a, HcQuery(s, t, table3K)) }
+        a -> qs.map { case (s, t) => run("table3", spec.name, edges, a, HcQuery(s, t, table3K)) }
       }.toMap
       // Queries where no algorithm was killed must agree on result counts.
       val consistent = qs.indices.forall { i =>
@@ -109,13 +109,13 @@ object BenchTables {
         g <- sweepGraphs
         spec = GraphSuite.spec(g)
         edges = GraphSuite.edges(spark, spec)
-        qs = QueryGen.queries(spark, edges, sweepQueries, seed = 2000 + spec.seed)
+        qs = QueryGen.queries(edges, sweepQueries, seed = 2000 + spec.seed)
         k <- sweepKs
         algo <- sweepAlgos
         (s, t) <- qs
       } yield {
         val q = HcQuery(s, t, k)
-        SweepRun(g, algo, q, run("sweep", spark, g, edges, algo, q))
+        SweepRun(g, algo, q, run("sweep", g, edges, algo, q))
       }
       swept = Some(runs)
       runs

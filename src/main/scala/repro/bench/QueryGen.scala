@@ -1,6 +1,6 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.graph.Bfs
 import scala.util.Random
@@ -26,7 +26,7 @@ object QueryGen {
   }
 
   /** Sample `n` queries (s, t) with s, t in V', s != t, 1 <= dist(s,t) <= 3. */
-  def queries(spark: SparkSession, edges: DataFrame, n: Int, seed: Long = 42): Seq[(Long, Long)] = {
+  def queries(edges: DataFrame, n: Int, seed: Long = 42): Seq[(Long, Long)] = {
     val vPrime = topDegreeVertices(edges)
     val vSet = vPrime.toSet
     val rng = new Random(seed)
@@ -37,7 +37,7 @@ object QueryGen {
     while (out.size < n && attempts < 10 * shuffled.size + 100) {
       val s = it.next()
       attempts += 1
-      val within3 = Bfs.distanceMap(spark, edges, s, 3)
+      val within3 = Bfs.distanceMap(edges, s, 3)
       val cand = within3.keysIterator
         .filter(v => v != s && vSet.contains(v) && within3(v) >= 1).toVector
       if (cand.nonEmpty) {

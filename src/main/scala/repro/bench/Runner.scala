@@ -1,6 +1,6 @@
 package repro.bench
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.baseline.{BcDfs, BcJoin}
 import repro.core.{EnumConfig, HcQuery, PathEnum, PathEnumResult}
 
@@ -9,13 +9,12 @@ object Runner {
 
   val algos: Seq[String] = Seq("BC-DFS", "BC-JOIN", "IDX-DFS", "IDX-JOIN", "PathEnum")
 
-  def run(spark: SparkSession, edges: DataFrame, algo: String, q: HcQuery,
-          cfg: EnumConfig): PathEnumResult = algo match {
-    case "BC-DFS"   => BcDfs.run(spark, edges, q, cfg)
-    case "BC-JOIN"  => BcJoin.run(spark, edges, q, cfg)
-    case "IDX-DFS"  => PathEnum.idxDfs(spark, edges, q, cfg)
-    case "IDX-JOIN" => PathEnum.idxJoin(spark, edges, q, cfg)
-    case "PathEnum" => PathEnum.run(spark, edges, q, cfg)
+  def run(edges: DataFrame, algo: String, q: HcQuery, cfg: EnumConfig): PathEnumResult = algo match {
+    case "BC-DFS"   => BcDfs.run(edges.sparkSession, edges, q, cfg)
+    case "BC-JOIN"  => BcJoin.run(edges, q, cfg)
+    case "IDX-DFS"  => PathEnum.idxDfs(edges, q, cfg)
+    case "IDX-JOIN" => PathEnum.idxJoin(edges, q, cfg)
+    case "PathEnum" => PathEnum.run(edges.sparkSession, edges, q, cfg)
     case other      => sys.error(s"unknown algorithm $other")
   }
 }

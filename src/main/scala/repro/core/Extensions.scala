@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, Row}
 import org.apache.spark.sql.functions._
 import repro.graph.Bfs
 import scala.reflect.ClassTag
@@ -38,9 +38,9 @@ object Extensions {
   /** Predicate constraint: keep only edges satisfying `pred` (a boolean
     * Column over `src`/`dst`/attribute columns), then run PathEnum — the
     * query-dependent index is built on the reduced graph. */
-  def withPredicate(spark: SparkSession, attrEdges: DataFrame, pred: Column,
-                    q: HcQuery, cfg: EnumConfig = EnumConfig()): PathEnumResult =
-    PathEnum.run(spark, attrEdges.where(pred).select("src", "dst"), q, cfg)
+  def withPredicate(attrEdges: DataFrame, pred: Column, q: HcQuery,
+                    cfg: EnumConfig = EnumConfig()): PathEnumResult =
+    PathEnum.run(attrEdges.sparkSession, attrEdges.where(pred).select("src", "dst"), q, cfg)
 
   /** Accumulative-value constraint (Algorithm 7) on weighted edges
     * `(src, dst, w)`.
@@ -50,7 +50,7 @@ object Extensions {
     * @param accepts  final filter `f_a` over the accumulated value
     * @param prune    optional partial-result prune (monotone ⊕ only)
     */
-  def accumulative(spark: SparkSession, weightedEdges: DataFrame, q: HcQuery,
+  def accumulative(weightedEdges: DataFrame, q: HcQuery,
                    init: Double, op: (Double, Double) => Double, accepts: Double => Boolean,
                    prune: Option[Double => Boolean] = None,
                    cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Double)]) =
@@ -63,7 +63,7 @@ object Extensions {
   /** Action-sequence constraint (Algorithm 8) on labeled edges
     * `(src, dst, lbl)` with DFA transitions `(state, lbl, next)` and a set
     * of accepting states. */
-  def automaton(spark: SparkSession, labeledEdges: DataFrame, q: HcQuery,
+  def automaton(labeledEdges: DataFrame, q: HcQuery,
                 transitions: DataFrame, startState: Long, acceptStates: Set[Long],
                 cfg: EnumConfig = EnumConfig()): (PathEnumResult, Seq[(Seq[Long], Long)]) = {
     val rows = transitions.select(col("state").cast("long"), col("lbl").cast("long"),
@@ -82,10 +82,8 @@ object Extensions {
     * `init` with the hop test `next(g)`. Returns the accepted paths with
     * their final values. */
   private def runIndexed[A: Ordering: ClassTag, S](graphEdges: DataFrame, attr: Column,
-                                         get: Row => A, q: HcQuery, cfg: EnumConfig, plan: String,
-                                         init: S, accept: S => Boolean)(
-                                         next: Adjacency[A] => LeftDeepEnum.Hop[S]
-                                        ): (PathEnumResult, Seq[(Seq[Long], S)]) = {
+      get: Row => A, q: HcQuery, cfg: EnumConfig, plan: String, init: S, accept: S => Boolean)(
+      next: Adjacency[A] => LeftDeepEnum.Hop[S]): (PathEnumResult, Seq[(Seq[Long], S)]) = {
     val edges = Bfs.pairs(graphEdges.select(col("src"), col("dst"), attr))
     val index = LightIndex.collect(edges, q)(get)
     val g = index.local

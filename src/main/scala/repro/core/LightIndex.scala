@@ -11,7 +11,9 @@ import scala.reflect.ClassTag
   *
   * Here `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`. X is
   * the vertices with `ds(v) + dt(v) <= k`, and an edge `(u, v)` is in the
-  * index when
+  * index when all four of these hold, as the driver finish
+  * ([[LightIndex.fromCandidates]]) tests (the Spark job of
+  * [[LightIndex.candidates]] only narrows its input):
   *   - `u` and `v` are in X,
   *   - `ds(u) + dt(v) + 1 <= k`    (the H-table neighbor condition),
   *   - `u != t`                    (enumeration never expands past t),
@@ -91,8 +93,9 @@ object LightIndex {
     *
     * Take `u` with `dS(u) + dT(u) <= k`, and `(w, x)` on a shortest s→u or
     * u→t path: `dS(w) + 1 + dT(x) <= dS(u) + dT(u) <= k`, so `(w, x)` is a
-    * candidate. Searches over the candidates with the same stop sets are
-    * thus exact on `u`, and never below the true distances elsewhere.
+    * candidate. Searches over the candidates, or any superset of them, with
+    * the same stop sets are thus exact on `u`, and never below the true
+    * distances elsewhere.
     */
   private[repro] def candidates[A: ClassTag](edges: Bfs.Edges, q: HcQuery, tStop: Set[Long])(
       attr: Row => A): (Array[Long], Array[Long], Array[A]) = {
@@ -105,28 +108,33 @@ object LightIndex {
   }
 
   /** Builds the index for `q` with one slot per distinct `(src, dst,
-    * attr(row))` of the rows of `edges`. The driver finishes both searches
-    * for k hops over the [[candidates]] with `tStop = {s}` ([[Bfs.driverHop]]),
-    * which is exact on X (and gives `ds(t)` and `dt(s)`), and keeps the
-    * candidates that meet the index conditions: exactly the index edges.
-    */
+    * attr(row))` of the rows of `edges`: [[candidates]] with `tStop = {s}`,
+    * then [[fromCandidates]]. */
   private[core] def collect[A: Ordering: ClassTag](edges: Bfs.Edges, q: HcQuery)(
       attr: Row => A): LightIndex[A] = {
     val t0 = System.nanoTime()
     val (src, dst, attrs) = candidates(edges, q, Set(q.s))(attr)
+    fromCandidates(src, dst, attrs, q).copy(buildMs = (System.nanoTime() - t0) / 1e6)
+  }
+
+  /** The driver finish, with no Spark: the index of `q` (`buildMs` 0) over
+    * `src(i) -> dst(i)` with `attr(i)`, any superset of the [[candidates]]
+    * with `tStop = {s}`, the whole edge list too. Both searches run k hops
+    * ([[Bfs.driverHop]]), exact on X (and on `ds(t)` and `dt(s)`), and the
+    * edges that meet all four index conditions are kept. */
+  private[repro] def fromCandidates[A: Ordering: ClassTag](src: Array[Long], dst: Array[Long],
+      attr: Array[A], q: HcQuery): LightIndex[A] = {
     val (ds, dt) = Bfs.search(Bfs.driverHop(src, dst), Some(q.s), Some(q.t), q.k,
       sStop = Set(q.t), tStop = Set(q.s))
     def inX(v: Long): Boolean = ds.contains(v) && dt.contains(v) && ds(v) + dt(v) <= q.k
     val (u, v, d, a) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
       new mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.make[A])
-    for (i <- src.indices) if (inX(src(i)) && inX(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
-      u.addOne(src(i))
-      v.addOne(dst(i))
-      d.addOne(dt(dst(i)))
-      a += attrs(i)
+    for (i <- src.indices) if (src(i) != q.t && dst(i) != q.s && inX(src(i)) && inX(dst(i)) &&
+                               ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
+      u.addOne(src(i)); v.addOne(dst(i)); d.addOne(dt(dst(i))); a += attr(i)
       () // a Unit body keeps the loop unboxed
     }
     val local = Adjacency(u.result(), v.result(), d.result(), a.result())
-    LightIndex(q, (System.nanoTime() - t0) / 1e6, local, local.ids.map(ds), local.ids.map(dt))
+    LightIndex(q, 0.0, local, local.ids.map(ds), local.ids.map(dt))
   }
 }

@@ -70,19 +70,17 @@ object PathEnum {
   }
 
   /** IDX-DFS as a standalone competitor (Table 3 column). */
-  def idxDfs(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
-             cfg: EnumConfig = EnumConfig()): PathEnumResult = {
-    val index = LightIndex.build(spark, graphEdges, q)
+  def idxDfs(graphEdges: DataFrame, q: HcQuery, cfg: EnumConfig = EnumConfig()): PathEnumResult = {
+    val index = LightIndex.build(graphEdges.sparkSession, graphEdges, q)
     result(index, LeftDeepEnum.search(index.local, q, cfg),
       PlanInfo("DFS(forced)", -1, None, None, None), 0.0)
   }
 
   /** IDX-JOIN as a standalone competitor (Table 3 column): always optimizes
     * the cut with the full DP and runs the bushy plan. */
-  def idxJoin(spark: SparkSession, graphEdges: DataFrame, q: HcQuery,
-              cfg: EnumConfig = EnumConfig()): PathEnumResult = {
-    val index = LightIndex.build(spark, graphEdges, q)
-    val dp = Estimator.full(spark, index)
+  def idxJoin(graphEdges: DataFrame, q: HcQuery, cfg: EnumConfig = EnumConfig()): PathEnumResult = {
+    val index = LightIndex.build(graphEdges.sparkSession, graphEdges, q)
+    val dp = Estimator.full(graphEdges.sparkSession, index)
     result(index, JoinEnum.search(index.local, q, dp.bestCut, cfg),
       PlanInfo("JOIN(forced)", -1, Some(dp.bestCut), Some(dp.tDfs), Some(dp.tJoin)), dp.optMs)
   }

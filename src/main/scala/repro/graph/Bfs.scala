@@ -51,15 +51,12 @@ object Bfs {
       * path goes through here.
       *
       * Spark's closure cleaner costs most of a small job's driver work when
-      * it is handed a Scala lambda: it re-reads the class file that defines
-      * the lambda to look for `return` statements. `RDD.collect` hands it
-      * Spark's own lambda, defined in `RDD.class`, and the one-argument
-      * `SparkContext.runJob` wraps its function in a lambda defined in
-      * `SparkContext.class`. Both are large classes. The cleaner skips that
-      * step for a function object that is not a lambda, so each task is an
-      * instance of a named [[Task]] class, handed to the two-argument
-      * overload, which cleans it as it is. Spark then only checks that the
-      * task serializes. */
+      * handed a Scala lambda: it re-reads the class file defining the lambda
+      * to look for `return` statements, and `RDD.collect` and the one-argument
+      * `SparkContext.runJob` hand it lambdas of their own large classes. It
+      * skips that step for a function object that is not a lambda, so each
+      * task is a named [[Task]], handed to the two-argument overload: Spark
+      * then only checks that the task serializes. */
     def run[U: ClassTag](task: Task[U]): Array[U] =
       rows.sparkContext.runJob(rows, task, rows.partitions.indices)
   }
@@ -198,14 +195,14 @@ object Bfs {
   }
 
   /** Distances from `source` within `maxHops` hops, as a driver-side map. */
-  def distanceMap(spark: SparkSession, edges: DataFrame, source: Long,
-                  maxHops: Int, noExpand: Set[Long] = Set.empty): Map[Long, Int] =
+  def distanceMap(edges: DataFrame, source: Long, maxHops: Int,
+                  noExpand: Set[Long] = Set.empty): Map[Long, Int] =
     search(sparkHop(pairs(edges)), Some(source), None, maxHops, sStop = noExpand)._1.toMap
 
   /** [[distanceMap]] as a DataFrame `(v: Long, dist: Int)`. Distances *to*
     * a target are obtained by passing `GraphGen.reverse(edges)`. */
   def distances(spark: SparkSession, edges: DataFrame, source: Long,
                 maxHops: Int, noExpand: Set[Long] = Set.empty): DataFrame =
-    spark.createDataFrame(distanceMap(spark, edges, source, maxHops, noExpand).toSeq)
+    spark.createDataFrame(distanceMap(edges, source, maxHops, noExpand).toSeq)
       .toDF("v", "dist")
 }

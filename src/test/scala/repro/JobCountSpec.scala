@@ -94,9 +94,9 @@ class JobCountSpec extends ReproSpec {
     val labeled = TestGraphs.layered.map { case (a, b) => (a, b, 1L) }.toDF("src", "dst", "lbl")
     val transitions = Seq((0L, 1L, 0L)).toDF("state", "lbl", "next")
     val q = HcQuery(1L, 2L, 4)
-    assert(jobs(Extensions.accumulative(spark, weighted, q, 0.0, _ + _, _ => true,
+    assert(jobs(Extensions.accumulative(weighted, q, 0.0, _ + _, _ => true,
       cfg = cfg)) <= q.k)
-    assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
+    assert(jobs(Extensions.automaton(labeled, q, transitions, 0L, Set(0L),
       cfg)) <= q.k + 1)
   }
 
@@ -107,9 +107,9 @@ class JobCountSpec extends ReproSpec {
     val transitions = Seq((0L, 1L, 0L)).toDF("state", "lbl", "next")
     for (k <- ks) {
       val q = HcQuery(1L, 2L, k)
-      assert(jobs(Extensions.accumulative(spark, weighted, q, 0.0, _ + _, _ => true,
+      assert(jobs(Extensions.accumulative(weighted, q, 0.0, _ + _, _ => true,
         cfg = cfg)) <= half(k), s"accumulative, k = $k")
-      assert(jobs(Extensions.automaton(spark, labeled, q, transitions, 0L, Set(0L),
+      assert(jobs(Extensions.automaton(labeled, q, transitions, 0L, Set(0L),
         cfg)) <= half(k) + 1, s"automaton, k = $k")
     }
   }

@@ -52,7 +52,7 @@ class OracleIntegrationSpec extends ReproSpec {
     import spark.implicits._
     val q = HcQuery(1L, 2L, 4)
     val edges = edgeDf(TestGraphs.figure1)
-    val r = PathEnum.idxJoin(spark, edges, q, EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
+    val r = PathEnum.idxJoin(edges, q, EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
     val got = r.enum.paths.get.map(_.mkString(">")).toDF("path")
     Oracle.assertEquivalent(got, duckSql(1L, 2L, 4), "edges" -> edges)
   }

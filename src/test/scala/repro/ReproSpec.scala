@@ -1,6 +1,7 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
+import repro.core.{HcQuery, LightIndex}
 import repro.graph.GraphGen
 
 /** Base for this repo's suites: SparkSpec plus reference-vs-Spark helpers. */
@@ -8,6 +9,12 @@ trait ReproSpec extends SparkSpec {
 
   def edgeDf(pairs: Seq[(Long, Long)]): DataFrame =
     GraphGen.fromPairs(spark, pairs)
+
+  /** The index of `q` over `pairs` from the driver finish alone, with no
+    * Spark: the whole edge list is a superset of the candidates. */
+  def driverIndex(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex[Unit] =
+    LightIndex.fromCandidates(pairs.map(_._1).toArray, pairs.map(_._2).toArray,
+      Array.fill(pairs.size)(()), q)
 
   /** Canonical path set from an EnumResult that collected paths; fails if
     * a path repeats or the paths disagree with the result count. */

@@ -38,12 +38,12 @@ class BcSpec extends ReproSpec {
   test("BC-JOIN equals BC-DFS on figure1") {
     val q = HcQuery(1L, 2L, 4)
     val a = BcDfs.run(spark, edgeDf(TestGraphs.figure1), q, cfg)
-    val b = BcJoin.run(spark, edgeDf(TestGraphs.figure1), q, cfg)
+    val b = BcJoin.run(edgeDf(TestGraphs.figure1), q, cfg)
     assert(pathSet(a.enum) == pathSet(b.enum))
   }
 
   test("BC-JOIN cuts at the middle position") {
-    val r = BcJoin.run(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 5), cfg)
+    val r = BcJoin.run(edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 5), cfg)
     assert(r.planInfo.cut.contains(3)) // ceil(5/2)
   }
 
@@ -67,13 +67,21 @@ class BcSpec extends ReproSpec {
         val want = pairs.collect { case (u, v)
           if u != 2L && ds.contains(u) && b.contains(v) && ds(u) + 1 + b(v) <= k => (u, v, b(v))
         }.toSet
-        val (g, _) = BcDfs.collected(spark, edges, HcQuery(1L, 2L, k))
+        val (g, _) = BcDfs.collected(edges, HcQuery(1L, 2L, k))
         val slots = for (u <- g.ids.indices; e <- g.first(u) until g.end(u))
           yield (g.ids(u), g.ids(g.dst(e)), g.dt(e))
         for ((u, v, d) <- slots)
           assert(b.get(v).exists(_ <= d), s"$name, k = $k: slot ($u, $v) has dt $d below B")
-        assert(slots.filter { case (u, _, d) => ds.get(u).exists(_ + 1 + d <= k) }.toSet == want,
-          s"$name, k = $k")
+        def readable(s: Seq[(Long, Long, Int)]) =
+          s.filter { case (u, _, d) => ds.get(u).exists(_ + 1 + d <= k) }.toSet
+        assert(readable(slots) == want, s"$name, k = $k")
+        // The driver finish over the whole edge list: the same readable
+        // slots, each with the exact B.
+        val (fu, fv, fd) = BcDfs.fromCandidates(pairs.map(_._1).toArray, pairs.map(_._2).toArray,
+          HcQuery(1L, 2L, k))
+        val finish = fu.indices.map(i => (fu(i), fv(i), fd(i)))
+        assert(finish.forall { case (_, v, d) => b(v) == d }, s"$name, k = $k: finish B")
+        assert(readable(finish) == readable(slots), s"$name, k = $k: finish")
       }
     }
   }
@@ -84,7 +92,7 @@ class BcSpec extends ReproSpec {
       assert(pathSet(r.enum) == RefGraph.Ref(pairs).paths(1L, 2L, 4))
     }
     test(s"BC-JOIN equals reference on $name k=4") {
-      val r = BcJoin.run(spark, edgeDf(pairs), HcQuery(1L, 2L, 4), cfg)
+      val r = BcJoin.run(edgeDf(pairs), HcQuery(1L, 2L, 4), cfg)
       assert(pathSet(r.enum) == RefGraph.Ref(pairs).paths(1L, 2L, 4))
     }
   }

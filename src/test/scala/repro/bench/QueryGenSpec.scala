@@ -25,7 +25,7 @@ class QueryGenSpec extends ReproSpec {
   }
 
   test("queries come from the top-degree set with 1 <= dist(s,t) <= 3") {
-    val qs = QueryGen.queries(spark, edges, n = 5, seed = 7)
+    val qs = QueryGen.queries(edges, n = 5, seed = 7)
     val top = QueryGen.topDegreeVertices(edges).toSet
     val ref = RefGraph.Ref(pairs)
     assert(qs.size == 5)
@@ -38,13 +38,13 @@ class QueryGenSpec extends ReproSpec {
   }
 
   test("query generation is deterministic in the seed") {
-    val a = QueryGen.queries(spark, edges, n = 4, seed = 9)
-    val b = QueryGen.queries(spark, edges, n = 4, seed = 9)
+    val a = QueryGen.queries(edges, n = 4, seed = 9)
+    val b = QueryGen.queries(edges, n = 4, seed = 9)
     assert(a == b)
   }
 
   test("every query has at least one result (dist <= 3 <= k)") {
-    val qs = QueryGen.queries(spark, edges, n = 3, seed = 11)
+    val qs = QueryGen.queries(edges, n = 3, seed = 11)
     val ref = RefGraph.Ref(pairs)
     for ((s, t) <- qs) assert(ref.paths(s, t, 6).nonEmpty)
   }

@@ -9,7 +9,7 @@ class RunnerSpec extends ReproSpec {
 
   for (algo <- Runner.algos) {
     test(s"$algo produces consistent metrics on figure1") {
-      val r = Runner.run(spark, edgeDf(TestGraphs.figure1), algo, HcQuery(1L, 2L, 4), cfg)
+      val r = Runner.run(edgeDf(TestGraphs.figure1), algo, HcQuery(1L, 2L, 4), cfg)
       val want = RefGraph.Ref(TestGraphs.figure1).paths(1L, 2L, 4).size
       assert(r.enum.results == want, s"$algo result count")
       assert(r.queryTimeMs > 0)
@@ -21,7 +21,7 @@ class RunnerSpec extends ReproSpec {
   test("all five algorithms agree on a random graph") {
     val pairs = TestGraphs.randomCases(1, n = 14, e = 40).head._2
     val counts = Runner.algos.map { a =>
-      Runner.run(spark, edgeDf(pairs), a, HcQuery(1L, 2L, 5), cfg).enum.results
+      Runner.run(edgeDf(pairs), a, HcQuery(1L, 2L, 5), cfg).enum.results
     }
     assert(counts.distinct.size == 1, s"counts $counts diverge")
     assert(counts.head == RefGraph.Ref(pairs).paths(1L, 2L, 5).size)
@@ -35,7 +35,7 @@ class RunnerSpec extends ReproSpec {
     for ((q, pairs) <- cases) {
       val ref = RefGraph.Ref(pairs)
       for (a <- Runner.algos)
-        assert(Runner.run(spark, edgeDf(pairs), a, q, cfg).enum.results ==
+        assert(Runner.run(edgeDf(pairs), a, q, cfg).enum.results ==
           ref.paths(q.s, q.t, q.k).size, s"$a $q")
       val idx = LightIndex.build(spark, edgeDf(pairs), q)
       assert(Estimator.full(spark, idx).forward(q.k) == ref.walks(q.s, q.t, q.k).size, s"$q")
@@ -51,7 +51,7 @@ class RunnerSpec extends ReproSpec {
       // a direct s→t edge, a two-hop path, a longer one and a back edge
       HcQuery(1L, 2L, 2) -> Seq((1L, 2L), (1L, 3L), (3L, 2L), (3L, 4L), (4L, 2L), (2L, 1L)))
     for ((q, pairs) <- cases; a <- Runner.algos) {
-      val r = Runner.run(spark, edgeDf(pairs), a, q, cfg.copy(collectPaths = true))
+      val r = Runner.run(edgeDf(pairs), a, q, cfg.copy(collectPaths = true))
       assert(pathSet(r.enum) == RefGraph.Ref(pairs).paths(q.s, q.t, q.k), s"$a $q on $pairs")
       assert(!r.enum.timedOut, s"$a $q on $pairs")
     }
@@ -59,6 +59,6 @@ class RunnerSpec extends ReproSpec {
 
   test("unknown algorithm is rejected") {
     intercept[RuntimeException](
-      Runner.run(spark, edgeDf(TestGraphs.layered), "NOPE", HcQuery(1L, 2L, 4), cfg))
+      Runner.run(edgeDf(TestGraphs.layered), "NOPE", HcQuery(1L, 2L, 4), cfg))
   }
 }

@@ -5,7 +5,7 @@ import repro.{RefGraph, ReproSpec, TestGraphs}
 class EstimatorSpec extends ReproSpec {
 
   private def dp(pairs: Seq[(Long, Long)], q: HcQuery): DpEstimate =
-    Estimator.full(spark, LightIndex.build(spark, edgeDf(pairs), q))
+    Estimator.full(spark, driverIndex(pairs, q))
 
   test("DP totals equal the padded walk count (layered)") {
     val q = HcQuery(1L, 2L, 4)
@@ -67,8 +67,8 @@ class EstimatorSpec extends ReproSpec {
 
   test("preliminary estimate is nonnegative and scales with density") {
     val q = HcQuery(1L, 2L, 4)
-    val sparseIdx = LightIndex.build(spark, edgeDf(TestGraphs.cyclic), q)
-    val denseIdx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
+    val sparseIdx = driverIndex(TestGraphs.cyclic, q)
+    val denseIdx = driverIndex(TestGraphs.layered, q)
     val sparse = Estimator.preliminary(spark, sparseIdx)
     val dense = Estimator.preliminary(spark, denseIdx)
     assert(sparse >= 0 && dense >= 0)
@@ -79,7 +79,7 @@ class EstimatorSpec extends ReproSpec {
     // On a DAG where every partial extends and gammas are uniform, Eq. 5 is
     // exact: level sizes 2, 4, 8, 8 -> 22 partials.
     val q = HcQuery(1L, 2L, 4)
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
+    val idx = driverIndex(TestGraphs.layered, q)
     val est = Estimator.preliminary(spark, idx)
     val walks = RefGraph.Ref(TestGraphs.layered).walks(1L, 2L, 4)
     // Σ_i |M̃_i| for the layered DAG: prefixes of padded walks per level.
@@ -90,7 +90,7 @@ class EstimatorSpec extends ReproSpec {
 
   test("empty index estimates zero") {
     val q = HcQuery(1L, 2L, 3)
-    val idx = LightIndex.build(spark, edgeDf(Seq((1L, 5L), (6L, 2L))), q)
+    val idx = driverIndex(Seq((1L, 5L), (6L, 2L)), q)
     assert(Estimator.preliminary(spark, idx) == 0.0)
   }
 

@@ -7,7 +7,7 @@ class JoinEnumSpec extends ReproSpec {
   private val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true)
 
   private def idxJoin(pairs: Seq[(Long, Long)], q: HcQuery, cut: Int): EnumResult =
-    JoinEnum.search(LightIndex.build(spark, edgeDf(pairs), q).local, q, cut, cfg)
+    JoinEnum.search(driverIndex(pairs, q).local, q, cut, cfg)
 
   test("layered DAG at middle cut") {
     val r = idxJoin(TestGraphs.layered, HcQuery(1L, 2L, 4), 2)
@@ -55,7 +55,7 @@ class JoinEnumSpec extends ReproSpec {
   test("join result matches DFS result on the same index") {
     val q = HcQuery(1L, 2L, 5)
     val pairs = TestGraphs.randomCases(1, n = 10, e = 28).head._2
-    val g = LightIndex.build(spark, edgeDf(pairs), q).local
+    val g = driverIndex(pairs, q).local
     val dfs = LeftDeepEnum.search(g, q, cfg)
     for (cut <- 1 until q.k)
       assert(pathSet(JoinEnum.search(g, q, cut, cfg)) == pathSet(dfs), s"cut=$cut")

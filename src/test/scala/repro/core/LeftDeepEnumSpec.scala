@@ -5,7 +5,7 @@ import repro.{RefGraph, ReproSpec, TestGraphs}
 class LeftDeepEnumSpec extends ReproSpec {
 
   private def idxDfs(pairs: Seq[(Long, Long)], q: HcQuery): EnumResult =
-    LeftDeepEnum.search(LightIndex.build(spark, edgeDf(pairs), q).local, q,
+    LeftDeepEnum.search(driverIndex(pairs, q).local, q,
       EnumConfig(timeBudgetMs = 300000L, collectPaths = true))
 
   test("layered DAG: all 8 length-4 paths found") {
@@ -67,13 +67,13 @@ class LeftDeepEnumSpec extends ReproSpec {
 
   test("timeout reports partial progress") {
     val q = HcQuery(1L, 2L, 4)
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
+    val idx = driverIndex(TestGraphs.layered, q)
     assert(LeftDeepEnum.search(idx.local, q, EnumConfig(timeBudgetMs = 0)).timedOut)
   }
 
   test("row cap cuts a repeatable prefix of the results") {
     val q = HcQuery(1L, 2L, 4)
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.layered), q)
+    val idx = driverIndex(TestGraphs.layered, q)
     val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true, maxLevelRows = 3)
     val r = LeftDeepEnum.search(idx.local, q, cfg)
     val want = RefGraph.Ref(TestGraphs.layered).paths(1L, 2L, 4)

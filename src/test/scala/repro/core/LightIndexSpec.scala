@@ -17,7 +17,8 @@ class LightIndexSpec extends ReproSpec {
       yield (g.ids(u), g.ids(v), idx.ds(u), idx.dt(u), idx.ds(v), idx.dt(v))
   }
 
-  /** Builds the index of `q` on `pairs` and asserts that it has the
+  /** Builds the index of `q` on `pairs`, on Spark and by the driver finish
+    * alone over the whole edge list, and asserts that each has the
     * reference's edges (with all four distances) and vertex table. */
   private def assertReference(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex[Unit] = {
     val ref = RefGraph.Ref(pairs)
@@ -27,9 +28,11 @@ class LightIndexSpec extends ReproSpec {
     val want = ref.indexEdges(q.s, q.t, q.k)
       .map { case (u, v) => (u, v, dS(u), dT(u), dS(v), dT(v)) }.toSet
     val idx = LightIndex.build(spark, edgeDf(pairs), q)
-    assert(dist(idx) == x)
-    val got = edges(idx)
-    assert(got.length == idx.edgeCount && got.toSet == want)
+    for ((how, i) <- Seq("build" -> idx, "fromCandidates" -> driverIndex(pairs, q))) {
+      assert(dist(i) == x, how)
+      val got = edges(i)
+      assert(got.length == i.edgeCount && got.toSet == want, how)
+    }
     idx
   }
 

@@ -38,14 +38,14 @@ class PathEnumSpec extends ReproSpec {
     val e = edgeDf(TestGraphs.figure1)
     val cfg = EnumConfig(timeBudgetMs = 300000L, collectPaths = true)
     val a = PathEnum.run(spark, e, q, cfg)
-    val b = PathEnum.idxDfs(spark, e, q, cfg)
-    val c = PathEnum.idxJoin(spark, e, q, cfg)
+    val b = PathEnum.idxDfs(e, q, cfg)
+    val c = PathEnum.idxJoin(e, q, cfg)
     assert(pathSet(a.enum) == pathSet(b.enum))
     assert(pathSet(a.enum) == pathSet(c.enum))
   }
 
   test("idxJoin records the DP-chosen cut") {
-    val r = PathEnum.idxJoin(spark, edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
+    val r = PathEnum.idxJoin(edgeDf(TestGraphs.layered), HcQuery(1L, 2L, 4))
     assert(r.planInfo.cut.exists(c => c >= 1 && c <= 3))
   }
 

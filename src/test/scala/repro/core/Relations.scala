@@ -1,9 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
-
-/** The join-based model of Section 3.1 and the full reducer (Algorithm 2).
+/** The join-based model of Section 3.1 and the full reducer (Algorithm 2),
+  * over plain Scala collections.
   *
   * A query `q(s,t,k)` becomes a chain join
   * `Q = R_1(u_0,u_1) ⋈ ... ⋈ R_k(u_{k-1},u_k)` whose relations are derived
@@ -20,17 +18,15 @@ import org.apache.spark.sql.functions._
   */
 object Relations {
 
-  /** Relations R_1..R_k per the Section 3.1 construction (Alg. 2 lines 1-4).
-    * Each has columns (src, dst).
-    */
-  def build(spark: SparkSession, edges: DataFrame, q: HcQuery): Seq[DataFrame] = {
-    import spark.implicits._
-    val tt = Seq((q.t, q.t)).toDF("src", "dst")
-    val r1 = edges.where(col("src") === q.s)
-    val rk = edges.where(col("dst") === q.t && col("src") =!= q.s).union(tt)
-    val mid = edges
-      .where(col("src") =!= q.s && col("dst") =!= q.s && col("src") =!= q.t)
-      .union(tt)
+  /** A relation `R_i(u_{i-1}, u_i)` as its set of `(src, dst)` pairs. */
+  type Rel = Set[(Long, Long)]
+
+  /** Relations R_1..R_k per the Section 3.1 construction (Alg. 2 lines 1-4). */
+  def build(edges: Seq[(Long, Long)], q: HcQuery): Seq[Rel] = {
+    val tt = (q.t, q.t)
+    val r1 = edges.filter(_._1 == q.s).toSet
+    val rk = edges.filter { case (u, v) => v == q.t && u != q.s }.toSet + tt
+    val mid = edges.filter { case (u, v) => u != q.s && v != q.s && u != q.t }.toSet + tt
     if (q.k == 2) Seq(r1, rk)
     else r1 +: Seq.fill(q.k - 2)(mid) :+ rk
   }
@@ -39,33 +35,28 @@ object Relations {
     * passes remove dangling tuples; afterwards every remaining tuple joins
     * into at least one full result (Proposition 4.2).
     */
-  def fullReduce(rels: Seq[DataFrame]): Seq[DataFrame] = {
-    // USING joins put the join key first in the output — re-project to keep
-    // every relation in (src, dst) shape.
+  def fullReduce(rels: Seq[Rel]): Seq[Rel] = {
     val fwd = rels.tail.scanLeft(rels.head) { (prev, r) =>
-      r.join(prev.select(col("dst").as("src")).distinct(), Seq("src"), "left_semi")
-        .select("src", "dst")
+      val ends = prev.map(_._2)
+      r.filter(e => ends(e._1))
     }
-    val bwd = fwd.init.scanRight(fwd.last) { (r, next) =>
-      r.join(next.select(col("src").as("dst")).distinct(), Seq("dst"), "left_semi")
-        .select("src", "dst")
+    fwd.init.scanRight(fwd.last) { (r, next) =>
+      val starts = next.map(_._1)
+      r.filter(e => starts(e._2))
     }
-    bwd
   }
 
-  /** Evaluate the chain join left-to-right and keep simple paths only:
-    * returns a DataFrame with one array column `path` (trailing t-padding
-    * stripped). Used by tests to validate Theorem 3.1.
+  /** Evaluate the chain join left-to-right and keep simple paths only, with
+    * the trailing t-padding stripped. Used by tests to validate Theorem 3.1.
     */
-  def evaluate(spark: SparkSession, rels: Seq[DataFrame], q: HcQuery): DataFrame = {
-    val first = rels.head.select(array(col("src"), col("dst")).as("path"), col("dst").as("last"))
+  def evaluate(rels: Seq[Rel], q: HcQuery): Set[List[Long]] = {
+    val first = rels.head.toSeq.map { case (u, v) => Vector(u, v) }
     val joined = rels.tail.foldLeft(first) { (acc, r) =>
-      acc.join(r, acc("last") === r("src"))
-        .select(concat(col("path"), array(col("dst"))).as("path"), col("dst").as("last"))
+      val next = r.groupMap(_._1)(_._2)
+      acc.flatMap(p => next.getOrElse(p.last, Set.empty[Long]).map(p :+ _))
     }
     // Strip the trailing t-padding, then keep tuples that are simple paths.
-    joined
-      .select(slice(col("path"), lit(1), array_position(col("path"), q.t).cast("int")).as("path"))
-      .where(size(array_distinct(col("path"))) === size(col("path")))
+    joined.map(p => p.take(p.indexOf(q.t) + 1).toList)
+      .filter(p => p.distinct.size == p.size).toSet
   }
 }

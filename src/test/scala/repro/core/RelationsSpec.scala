@@ -6,10 +6,9 @@ class RelationsSpec extends ReproSpec {
 
   private def evalPaths(pairs: Seq[(Long, Long)], q: HcQuery,
                         reduce: Boolean): Set[List[Long]] = {
-    val rels0 = Relations.build(spark, edgeDf(pairs), q)
+    val rels0 = Relations.build(pairs, q)
     val rels = if (reduce) Relations.fullReduce(rels0) else rels0
-    Relations.evaluate(spark, rels, q)
-      .collect().map(_.getSeq[Long](0).toList).toSet
+    Relations.evaluate(rels, q)
   }
 
   test("Theorem 3.1: evaluating Q yields exactly P(s,t,k,G) — figure1") {
@@ -31,11 +30,9 @@ class RelationsSpec extends ReproSpec {
 
   test("full reducer only removes tuples") {
     val q = HcQuery(1L, 2L, 4)
-    val rels = Relations.build(spark, edgeDf(TestGraphs.figure1), q)
+    val rels = Relations.build(TestGraphs.figure1, q)
     val red = Relations.fullReduce(rels)
-    for (((r0, r1), i) <- rels.zip(red).zipWithIndex) {
-      val before = r0.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
-      val after = r1.collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    for (((before, after), i) <- rels.zip(red).zipWithIndex) {
       assert(after.subsetOf(before),
         s"R_${i + 1}: extra=${after.diff(before)} before=$before after=$after")
     }
@@ -43,23 +40,23 @@ class RelationsSpec extends ReproSpec {
 
   test("R_1 contains only edges out of s; R_k only edges into t plus (t,t)") {
     val q = HcQuery(1L, 2L, 4)
-    val rels = Relations.build(spark, edgeDf(TestGraphs.figure1), q)
-    assert(rels.head.collect().forall(_.getLong(0) == 1L))
-    assert(rels.last.collect().forall(r => r.getLong(1) == 2L))
-    assert(rels.last.collect().exists(r => r.getLong(0) == 2L && r.getLong(1) == 2L))
+    val rels = Relations.build(TestGraphs.figure1, q)
+    assert(rels.head.forall(_._1 == 1L))
+    assert(rels.last.forall(_._2 == 2L))
+    assert(rels.last.exists(r => r._1 == 2L && r._2 == 2L))
   }
 
   test("interior relations exclude s entirely and t as source") {
     val q = HcQuery(1L, 2L, 4)
-    val rels = Relations.build(spark, edgeDf(TestGraphs.figure1), q)
-    for (r <- rels.slice(1, q.k - 1); row <- r.collect()) {
-      assert(row.getLong(0) != 1L && row.getLong(1) != 1L)
-      if (row.getLong(0) == 2L) assert(row.getLong(1) == 2L) // only (t,t)
+    val rels = Relations.build(TestGraphs.figure1, q)
+    for (r <- rels.slice(1, q.k - 1); (src, dst) <- r) {
+      assert(src != 1L && dst != 1L)
+      if (src == 2L) assert(dst == 2L) // only (t,t)
     }
   }
 
   test("k=2 builds exactly two relations") {
-    val rels = Relations.build(spark, edgeDf(TestGraphs.figure1), HcQuery(1L, 2L, 2))
+    val rels = Relations.build(TestGraphs.figure1, HcQuery(1L, 2L, 2))
     assert(rels.size == 2)
   }
 
@@ -68,7 +65,7 @@ class RelationsSpec extends ReproSpec {
     // enumeration over either gives the same paths.
     val q = HcQuery(1L, 2L, 4)
     val viaReducer = evalPaths(TestGraphs.cyclic, q, reduce = true)
-    val idx = LightIndex.build(spark, edgeDf(TestGraphs.cyclic), q)
+    val idx = driverIndex(TestGraphs.cyclic, q)
     val viaIndex = pathSet(LeftDeepEnum.search(idx.local, q,
       EnumConfig(timeBudgetMs = 300000L, collectPaths = true)))
     assert(viaReducer == viaIndex)

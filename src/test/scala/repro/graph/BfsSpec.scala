@@ -6,68 +6,68 @@ class BfsSpec extends ReproSpec {
 
   test("line graph distances") {
     val edges = edgeDf(Seq((1L, 2L), (2L, 3L), (3L, 4L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 8)
+    val d = Bfs.distanceMap(edges, 1L, 8)
     assert(d == Map(1L -> 0, 2L -> 1, 3L -> 2, 4L -> 3))
   }
 
   test("maxHops bounds the search") {
     val edges = edgeDf(Seq((1L, 2L), (2L, 3L), (3L, 4L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 2)
+    val d = Bfs.distanceMap(edges, 1L, 2)
     assert(d == Map(1L -> 0, 2L -> 1, 3L -> 2))
   }
 
   test("cycle distances") {
     val edges = edgeDf(Seq((1L, 2L), (2L, 3L), (3L, 1L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 5)
+    val d = Bfs.distanceMap(edges, 1L, 5)
     assert(d == Map(1L -> 0, 2L -> 1, 3L -> 2))
   }
 
   test("unreachable vertices are absent") {
     val edges = edgeDf(Seq((1L, 2L), (3L, 4L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 5)
+    val d = Bfs.distanceMap(edges, 1L, 5)
     assert(d == Map(1L -> 0, 2L -> 1))
   }
 
   test("source with no out-edges") {
     val edges = edgeDf(Seq((2L, 1L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 5)
+    val d = Bfs.distanceMap(edges, 1L, 5)
     assert(d == Map(1L -> 0))
   }
 
   test("noExpand vertex is reached but not expanded through") {
     // 1 -> 2 -> 3; 2 excluded as interior: 3 unreachable, 2 still has dist 1.
     val edges = edgeDf(Seq((1L, 2L), (2L, 3L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 5, noExpand = Set(2L))
+    val d = Bfs.distanceMap(edges, 1L, 5, noExpand = Set(2L))
     assert(d == Map(1L -> 0, 2L -> 1))
   }
 
   test("noExpand forces the detour distance") {
     // shortest 1->4 via 2 (len 2), detour via 3,5 (len 3); excluding 2 gives 3.
     val edges = edgeDf(Seq((1L, 2L), (2L, 4L), (1L, 3L), (3L, 5L), (5L, 4L)))
-    val d = Bfs.distanceMap(spark, edges, 1L, 5, noExpand = Set(2L))
+    val d = Bfs.distanceMap(edges, 1L, 5, noExpand = Set(2L))
     assert(d(4L) == 3)
   }
 
   test("reverse graph gives distance-to-target") {
     val edges = edgeDf(Seq((1L, 2L), (2L, 3L)))
-    val d = Bfs.distanceMap(spark, GraphGen.reverse(edges), 3L, 5)
+    val d = Bfs.distanceMap(GraphGen.reverse(edges), 3L, 5)
     assert(d == Map(3L -> 0, 2L -> 1, 1L -> 2))
   }
 
   for ((name, pairs) <- TestGraphs.randomCases(6, n = 14, e = 35)) {
     test(s"matches reference BFS on $name") {
       val ref = RefGraph.Ref(pairs)
-      val got = Bfs.distanceMap(spark, edgeDf(pairs), 1L, 6)
+      val got = Bfs.distanceMap(edgeDf(pairs), 1L, 6)
       assert(got == ref.bfs(1L, 6))
     }
     test(s"matches reference BFS with noExpand on $name") {
       val ref = RefGraph.Ref(pairs)
-      val got = Bfs.distanceMap(spark, edgeDf(pairs), 1L, 6, noExpand = Set(2L))
+      val got = Bfs.distanceMap(edgeDf(pairs), 1L, 6, noExpand = Set(2L))
       assert(got == ref.bfs(1L, 6, noExpand = Set(2L)))
     }
     test(s"matches reference reverse BFS on $name") {
       val ref = RefGraph.Ref(pairs)
-      val got = Bfs.distanceMap(spark, GraphGen.reverse(edgeDf(pairs)), 2L, 6, noExpand = Set(1L))
+      val got = Bfs.distanceMap(GraphGen.reverse(edgeDf(pairs)), 2L, 6, noExpand = Set(1L))
       assert(got == ref.bfs(2L, 6, noExpand = Set(1L), reverse = true))
     }
   }
