@@ -17,7 +17,7 @@ object BcJoin {
 
   def run(graphEdges: DataFrame, q: HcQuery, cfg: EnumConfig = EnumConfig()): PathEnumResult = {
     val (g, prepMs) = BcDfs.collected(graphEdges, q)
-    val cut = math.min(q.k - 1, math.max(1, math.ceil(q.k / 2.0).toInt))
+    val cut = (q.k + 1) / 2
     PathEnumResult(JoinEnum.search(g, q, cut, cfg), PlanInfo("BC-JOIN", -1, Some(cut), None, None),
       prepMs, 0.0, -1, -1)
   }

@@ -11,13 +11,12 @@ import scala.reflect.ClassTag
   *
   * Here `ds(v) = S(s, v | G − {t})` and `dt(v) = S(v, t | G − {s})`. X is
   * the vertices with `ds(v) + dt(v) <= k`, and an edge `(u, v)` is in the
-  * index when all four of these hold, as the driver finish
-  * ([[LightIndex.fromCandidates]]) tests (the Spark job of
-  * [[LightIndex.candidates]] only narrows its input):
-  *   - `u` and `v` are in X,
-  *   - `ds(u) + dt(v) + 1 <= k`    (the H-table neighbor condition),
-  *   - `u != t`                    (enumeration never expands past t),
-  *   - `v != s`                    (s is never interior, Definition 2.1).
+  * index when `u` and `v` are in X and `ds(u) + dt(v) + 1 <= k` (the
+  * H-table neighbor condition), `u != t` (enumeration never expands past
+  * t) and `v != s` (s is never interior, Definition 2.1). The Spark job of
+  * [[LightIndex.candidates]] only narrows the edges; the driver finish
+  * ([[LightIndex.fromCandidates]]) tests the last three, which imply the
+  * first.
   *
   * `local` has the index edges with dt-sorted neighbors, so `I_t(v, b)` is
   * a prefix scan. Its vertices are exactly X: each vertex of X but `t` has
@@ -121,16 +120,22 @@ object LightIndex {
     * `src(i) -> dst(i)` with `attr(i)`, any superset of the [[candidates]]
     * with `tStop = {s}`, the whole edge list too. Both searches run k hops
     * ([[Bfs.driverHop]]), exact on X (and on `ds(t)` and `dt(s)`), and the
-    * edges that meet all four index conditions are kept. */
+    * edges `(u, v)` with `u` reached from s, `v` reached to t, `u != t`,
+    * `v != s` and `ds(u) + 1 + dt(v) <= k` are kept: the candidate job's
+    * own test, with exact distances. Both ends of such an edge are in X.
+    * The forward search reaches `u` within k − 1 hops and expands it (it is
+    * not t), over this very edge, so `ds(v) <= ds(u) + 1`; the backward
+    * search likewise expands `v` (not s), so `dt(u) <= dt(v) + 1`. Then
+    * `ds(u) + dt(u)` and `ds(v) + dt(v)` are both at most
+    * `ds(u) + 1 + dt(v) <= k`. */
   private[repro] def fromCandidates[A: Ordering: ClassTag](src: Array[Long], dst: Array[Long],
       attr: Array[A], q: HcQuery): LightIndex[A] = {
     val (ds, dt) = Bfs.search(Bfs.driverHop(src, dst), Some(q.s), Some(q.t), q.k,
       sStop = Set(q.t), tStop = Set(q.s))
-    def inX(v: Long): Boolean = ds.contains(v) && dt.contains(v) && ds(v) + dt(v) <= q.k
     val (u, v, d, a) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
       new mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.make[A])
-    for (i <- src.indices) if (src(i) != q.t && dst(i) != q.s && inX(src(i)) && inX(dst(i)) &&
-                               ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
+    for (i <- src.indices) if (src(i) != q.t && dst(i) != q.s && ds.contains(src(i)) &&
+                               dt.contains(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
       u.addOne(src(i)); v.addOne(dst(i)); d.addOne(dt(dst(i))); a += attr(i)
       () // a Unit body keeps the loop unboxed
     }

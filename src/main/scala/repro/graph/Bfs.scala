@@ -7,21 +7,22 @@ import scala.collection.mutable
 import scala.reflect.ClassTag
 
 /** Bounded breadth-first-search distances: one loop, [[search]], over
-  * either of two sources of hops.
+  * one hop kernel fed by either of two edge streams.
   *
   * Up to two searches run at once: one from a source along the edges and
   * one from a target against them (distances *to* the target). Hop i is one
   * superstep in the Pregel sense: a [[Hop]] takes both frontiers and
   * returns the successors of the forward one and the predecessors of the
   * backward one. The visited maps and the dedup stay on the driver, so a
-  * hop returns only candidate frontier vertices.
+  * hop returns only candidate frontier vertices. Every hop is a
+  * [[HopKernel]], a pass over a stream of edges:
   *
-  *  - [[sparkHop]] scans the caller's edges ([[pairs]]) with one Spark job,
-  *    run by [[Edges.run]]. The frontiers travel in the task as sorted
-  *    arrays, so every hop runs the same plan with no SQL join or shuffle:
-  *    one Spark job per hop.
-  *  - [[driverHop]] looks the frontiers up in edges already collected on
-  *    the driver, and runs no job. [[repro.core.LightIndex]] and
+  *  - [[sparkHop]] streams the caller's edges ([[pairs]]) through it in one
+  *    Spark job, run by [[Edges.run]]. The frontiers travel in the task as
+  *    sorted arrays, so every hop runs the same plan with no SQL join or
+  *    shuffle: one Spark job per hop.
+  *  - [[driverHop]] streams edges already collected on the driver through
+  *    it, and runs no job. [[repro.core.LightIndex]] and
   *    [[repro.baseline.BcDfs]] finish their searches with it over the
   *    candidate edges of a meet-in-the-middle search.
   *
@@ -88,20 +89,32 @@ object Bfs {
   /** Whether the sorted array `xs` holds `v`. */
   def has(xs: Array[Long], v: Long): Boolean = java.util.Arrays.binarySearch(xs, v) >= 0
 
-  /** One hop of both searches over one partition: the distinct successors
-    * of `fwd` and predecessors of `bwd`. */
+  /** One hop of both searches over a stream of edges: fed every edge
+    * `(u, v)` once, it returns the distinct successors of `fwd` and
+    * predecessors of `bwd`. The one hop kernel of [[sparkHop]] and
+    * [[driverHop]]. */
+  private final class HopKernel(fwd: Array[Long], bwd: Array[Long]) {
+    private val (succ, pred) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong)
+
+    def add(u: Long, v: Long): Unit = {
+      if (has(fwd, u)) succ.addOne(v)
+      if (has(bwd, v)) pred.addOne(u)
+    }
+
+    def result(): (Array[Long], Array[Long]) =
+      (sortedDistinct(succ.result()), sortedDistinct(pred.result()))
+  }
+
+  /** [[HopKernel]] over the rows of one partition. */
   private final class HopTask(src: Int, dst: Int, fwd: Array[Long], bwd: Array[Long])
       extends Task[(Array[Long], Array[Long])] {
     def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long]) = {
-      val (succ, pred) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong)
+      val hop = new HopKernel(fwd, bwd)
       while (it.hasNext) {
         val r = it.next()
-        val u = id(r, src)
-        val v = id(r, dst)
-        if (has(fwd, u)) succ.addOne(v)
-        if (has(bwd, v)) pred.addOne(u)
+        hop.add(id(r, src), id(r, dst))
       }
-      (sortedDistinct(succ.result()), sortedDistinct(pred.result()))
+      hop.result()
     }
   }
 
@@ -111,36 +124,12 @@ object Bfs {
     (concat(found.map(_._1)), concat(found.map(_._2)))
   }
 
-  /** A hop over the edges `src(i) -> dst(i)` held on the driver: no job. */
-  def driverHop(src: Array[Long], dst: Array[Long]): Hop = {
-    lazy val out = neighbors(src, dst) // built only for a search that uses it
-    lazy val in = neighbors(dst, src)
-    (f, b) => (if (f.isEmpty) f else out(f), if (b.isEmpty) b else in(b))
-  }
-
-  /** The edges `from(i) -> to(i)` grouped by `from`, as the function from a
-    * frontier to the `to`s of its vertices. */
-  private def neighbors(from: Array[Long], to: Array[Long]): Array[Long] => Array[Long] = {
-    val keys = sortedDistinct(from.clone())
-    val offsets = new Array[Int](keys.length + 1)
-    val slot = new Array[Int](from.length)
-    for (i <- from.indices) {
-      slot(i) = java.util.Arrays.binarySearch(keys, from(i))
-      offsets(slot(i) + 1) += 1
-    }
-    for (v <- keys.indices) offsets(v + 1) += offsets(v)
-    val targets = new Array[Long](to.length)
-    val next = java.util.Arrays.copyOf(offsets, keys.length)
-    for (i <- from.indices) { targets(next(slot(i))) = to(i); next(slot(i)) += 1 }
-    frontier => {
-      val out = new mutable.ArrayBuilder.ofLong
-      for (i <- frontier.indices) {
-        val k = java.util.Arrays.binarySearch(keys, frontier(i))
-        if (k >= 0) out.addAll(targets, offsets(k), offsets(k + 1) - offsets(k))
-        () // a Unit body keeps the loop unboxed
-      }
-      out.result()
-    }
+  /** A hop as [[HopKernel]] over the edges `src(i) -> dst(i)` held on the
+    * driver: no job. */
+  def driverHop(src: Array[Long], dst: Array[Long]): Hop = (f, b) => {
+    val hop = new HopKernel(f, b)
+    for (i <- src.indices) hop.add(src(i), dst(i))
+    hop.result()
   }
 
   /** Distances from `s` along the edges, never expanding through `sStop`,

@@ -40,7 +40,9 @@ object GraphGen {
     */
   def powerLaw(spark: SparkSession, nVertices: Long, nEdgesTarget: Long,
                alpha: Double = 2.0, seed: Long = 7): DataFrame = {
-    spark.range((nEdgesTarget * 1.6).toLong)
+    // One partition: Spark seeds `rand` per partition, so the draws would
+    // otherwise depend on the session's default parallelism.
+    spark.range(0, (nEdgesTarget * 1.6).toLong, 1, 1)
       .select(
         skewRank(rand(seed), nVertices, alpha).as("src"),
         skewRank(rand(seed + 1), nVertices, alpha).as("dst"))

@@ -87,7 +87,8 @@ class LightIndexSpec extends ReproSpec {
   }
 
   // k = 2..6 meets at radius 0, 1 and 2.
-  for ((name, pairs) <- TestGraphs.randomCases(5)) {
+  for ((name, pairs) <- TestGraphs.randomCases(5) ++ Seq("layered" -> TestGraphs.layered,
+         "cyclic" -> TestGraphs.cyclic, "figure1" -> TestGraphs.figure1)) {
     test(s"index matches reference on $name") {
       for (k <- 2 to 6) assertReference(pairs, HcQuery(1L, 2L, k))
     }

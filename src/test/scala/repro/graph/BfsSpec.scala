@@ -81,6 +81,11 @@ class BfsSpec extends ReproSpec {
       assert(dt == ref.bfs(2L, hops, noExpand = Set(1L), reverse = true))
       assert(Bfs.search(edges, None, Some(2L), hops) == (Map.empty, ref.bfs(2L, hops, reverse = true)))
     }
+  }
+
+  // Parallel edges, self-loops at s and t, and an edge into s.
+  for ((name, pairs) <- TestGraphs.randomCases(5) ++ Seq("selfLoops" -> TestGraphs.selfLoops,
+         "figure1" -> TestGraphs.figure1); hops <- Seq(2, 5)) {
     test(s"the driver hop gives the Spark hop's ds and dt within $hops hops on $name") {
       def both(hop: Bfs.Hop) = Seq(
         Bfs.search(hop, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L)),

@@ -28,6 +28,18 @@ class GraphGenSpec extends ReproSpec {
     assert(a == b)
   }
 
+  test("powerLaw does not depend on the default parallelism") {
+    val key = "spark.sql.leafNodeDefaultParallelism"
+    val graphs = try {
+      for (p <- Seq(1, 2, 4)) yield {
+        spark.conf.set(key, p.toLong)
+        GraphGen.powerLaw(spark, 750, 5080, alpha = 2.2, seed = 108).collect()
+          .map(r => (r.getLong(0), r.getLong(1))).toSet
+      }
+    } finally spark.conf.unset(key)
+    assert(graphs.distinct.size == 1)
+  }
+
   test("different seeds differ") {
     val a = GraphGen.powerLaw(spark, 80, 400, seed = 3).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val b = GraphGen.powerLaw(spark, 80, 400, seed = 4).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
