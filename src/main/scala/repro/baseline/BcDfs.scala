@@ -3,7 +3,6 @@ package repro.baseline
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{Adjacency, EnumConfig, HcQuery, LeftDeepEnum, LightIndex, PathEnumResult, PlanInfo}
 import repro.graph.Bfs
-import scala.collection.mutable
 
 /** BC-DFS baseline — the state-of-the-art polynomial-delay competitor [29]
   * on the same search routine as IDX-DFS.
@@ -29,7 +28,7 @@ object BcDfs {
     }
 
   /** The driver finish, with no Spark: `B` over the edges `src(i) -> dst(i)`
-    * for k − 1 hops ([[Bfs.driverHop]]), and the edges with `u != t` whose
+    * for k − 1 hops ([[Bfs.Local]]), and the edges with `u != t` whose
     * target has a `B`. The search reads `(u, v)` at depth `L` only if
     * `L + 1 + B(v) <= k`, and `lbS(u) <= L`, `lbT(v) <= B(v)`, so it is a
     * candidate. So is each edge `(x, y)` on a shortest v→t path:
@@ -39,14 +38,21 @@ object BcDfs {
     * search scans the same prefixes, in the same order, as over `G`. */
   private[baseline] def fromCandidates(src: Array[Long], dst: Array[Long],
                                        q: HcQuery): (Array[Long], Array[Long], Array[Int]) = {
-    val b = Bfs.search(Bfs.driverHop(src, dst), None, Some(q.t), q.k - 1)._2
-    val (u, v, d) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
-      new mutable.ArrayBuilder.ofInt)
-    for (i <- src.indices) if (src(i) != q.t && b.contains(dst(i))) {
-      u.addOne(src(i)); v.addOne(dst(i)); d.addOne(b(dst(i)))
-      () // a Unit body keeps the loop unboxed
+    val g = new Bfs.Local(src, dst)
+    val b = g.backward(q.t, q.k - 1)
+    val t = g.vertex(q.t)
+    def kept(i: Int): Boolean = g.from(i) != t && b(g.to(i)) >= 0
+    var n = 0
+    var i = 0
+    while (i < src.length) { if (kept(i)) n += 1; i += 1 }
+    val (u, v, d) = (new Array[Long](n), new Array[Long](n), new Array[Int](n))
+    n = 0
+    i = 0
+    while (i < src.length) {
+      if (kept(i)) { u(n) = src(i); v(n) = dst(i); d(n) = b(g.to(i)); n += 1 }
+      i += 1
     }
-    (u.result(), v.result(), d.result())
+    (u, v, d)
   }
 
   /** The relation `(er_src, er_dst, er_dt)` as a DataFrame, with its build

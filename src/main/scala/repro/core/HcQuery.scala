@@ -11,9 +11,10 @@ final case class HcQuery(s: Long, t: Long, k: Int) {
 /** The settings of one enumeration run. With the optimizer's τ (a
   * parameter of `PathEnum.run`) they are all the program's settings.
   *
-  * @param timeBudgetMs  wall-clock cap on enumeration, checked at every
-  *                      search node (the paper caps each query at 120 s;
-  *                      benches scale this down).
+  * @param timeBudgetMs  wall-clock cap on enumeration, checked at the
+  *                      first search node and every 1 024th after it (the
+  *                      paper caps each query at 120 s; benches scale this
+  *                      down).
   * @param responseTarget #results after which "response time" is recorded
   *                      (the paper uses the first 1000 results).
   * @param collectPaths  materialize the result paths on the driver (tests);

@@ -18,8 +18,9 @@ import scala.collection.mutable.ArrayBuffer
   * Per-half duplicate-vertex checks run during the searches (cheap, prunes
   * walks early); duplicates *across* the halves can only be caught at the
   * join, exactly as in the paper. The row cap bounds each materialized half
-  * and the joined results; the time budget is checked at every search node
-  * and before each left-half row is joined.
+  * and the joined results; the time budget is checked as in
+  * [[LeftDeepEnum.dfs]], and before the first left-half row is joined and
+  * every 1 024th after it.
   */
 object JoinEnum {
 
@@ -69,10 +70,12 @@ object JoinEnum {
     val found = ArrayBuffer.empty[Seq[Long]]
     var n = 0L
     var stop = false
+    var row = 0
     val rows = as.iterator
     while (!stop && rows.hasNext) {
       val a = rows.next()
-      stop = expired()
+      if ((row & 1023) == 0) stop = expired()
+      row += 1
       a.foreach(onA(_) = true)
       for (b <- byCut.getOrElse(a.last, Nil) if !stop && (1 until b.length).forall(i => !onA(b(i)))) {
         n += 1

@@ -17,9 +17,10 @@ import scala.collection.mutable.ListBuffer
   *   - both halves of [[JoinEnum]], and the Appendix E variants with one
   *     value per path — see [[Extensions]].
   *
-  * The time budget is checked at every search node and the row cap bounds
-  * the emitted results, so a cut-off run returns a deterministic DFS-order
-  * prefix of the results (the paper's 120 s protocol, scaled).
+  * The time budget is checked at the first search node and every 1 024th
+  * after it, and the row cap bounds the emitted results, so a cut-off run
+  * returns a deterministic DFS-order prefix of the results (the paper's
+  * 120 s protocol, scaled).
   */
 object LeftDeepEnum {
 
@@ -38,16 +39,20 @@ object LeftDeepEnum {
     * does not descend past `t` or position `to`; there it calls
     * `visit(path, depth, st)`, with the vertex numbers of the path in
     * `path(0..depth)` (valid during the call only). `nodes(depth)` counts
-    * the nodes entered. Returns false if `expired()` held at a node or
-    * `visit` returned false, which stop the search.
+    * the nodes entered. `expired()` is read at the first node and then at
+    * every 1 024th, so a search overruns its budget by under 1 024 nodes.
+    * Returns false if `expired()` held at a node or `visit` returned false,
+    * which stop the search.
     */
   private[core] def dfs[S](g: Adjacency[_], t: Int, k: Int, start: Int, from: Int, to: Int,
                            init: S, next: Hop[S], expired: () => Boolean,
                            nodes: Array[Long])(visit: (Array[Int], Int, S) => Boolean): Boolean = {
     val path = new Array[Int](to - from + 1)
     val onPath = new Array[Boolean](g.vertexCount)
+    var tick = 0 // nodes entered, mod 1 024
     def go(d: Int, st: S): Boolean = {
-      if (expired()) return false
+      if (tick == 0 && expired()) return false
+      tick = (tick + 1) & 1023
       nodes(d) += 1
       val v = path(d)
       if (v == t || d == to - from) return visit(path, d, st)

@@ -119,27 +119,47 @@ object LightIndex {
   /** The driver finish, with no Spark: the index of `q` (`buildMs` 0) over
     * `src(i) -> dst(i)` with `attr(i)`, any superset of the [[candidates]]
     * with `tStop = {s}`, the whole edge list too. Both searches run k hops
-    * ([[Bfs.driverHop]]), exact on X (and on `ds(t)` and `dt(s)`), and the
-    * edges `(u, v)` with `u` reached from s, `v` reached to t, `u != t`,
-    * `v != s` and `ds(u) + 1 + dt(v) <= k` are kept: the candidate job's
-    * own test, with exact distances. Both ends of such an edge are in X.
-    * The forward search reaches `u` within k − 1 hops and expands it (it is
-    * not t), over this very edge, so `ds(v) <= ds(u) + 1`; the backward
-    * search likewise expands `v` (not s), so `dt(u) <= dt(v) + 1`. Then
-    * `ds(u) + dt(u)` and `ds(v) + dt(v)` are both at most
-    * `ds(u) + 1 + dt(v) <= k`. */
+    * over the edges numbered densely ([[Bfs.Local]]), exact on X (and on
+    * `ds(t)` and `dt(s)`), and the edges `(u, v)` with `u` reached from s,
+    * `v` reached to t, `u != t`, `v != s` and `ds(u) + 1 + dt(v) <= k` are
+    * kept: the candidate job's own test, with exact distances. Both ends of
+    * such an edge are in X. The forward search reaches `u` within k − 1 hops
+    * and expands it (it is not t), over this very edge, so
+    * `ds(v) <= ds(u) + 1`; the backward search likewise expands `v` (not s),
+    * so `dt(u) <= dt(v) + 1`. Then `ds(u) + dt(u)` and `ds(v) + dt(v)` are
+    * both at most `ds(u) + 1 + dt(v) <= k`. The kept edges are counted
+    * first and then copied into arrays of that size. */
   private[repro] def fromCandidates[A: Ordering: ClassTag](src: Array[Long], dst: Array[Long],
       attr: Array[A], q: HcQuery): LightIndex[A] = {
-    val (ds, dt) = Bfs.search(Bfs.driverHop(src, dst), Some(q.s), Some(q.t), q.k,
-      sStop = Set(q.t), tStop = Set(q.s))
-    val (u, v, d, a) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong,
-      new mutable.ArrayBuilder.ofInt, mutable.ArrayBuilder.make[A])
-    for (i <- src.indices) if (src(i) != q.t && dst(i) != q.s && ds.contains(src(i)) &&
-                               dt.contains(dst(i)) && ds(src(i)) + 1 + dt(dst(i)) <= q.k) {
-      u.addOne(src(i)); v.addOne(dst(i)); d.addOne(dt(dst(i))); a += attr(i)
-      () // a Unit body keeps the loop unboxed
+    val g = new Bfs.Local(src, dst)
+    val ds = g.forward(q.s, q.k, stop = Some(q.t))
+    val dt = g.backward(q.t, q.k, stop = Some(q.s))
+    val s = g.vertex(q.s)
+    val t = g.vertex(q.t)
+    def kept(i: Int): Boolean = {
+      val u = g.from(i)
+      val v = g.to(i)
+      u != t && v != s && ds(u) >= 0 && dt(v) >= 0 && ds(u) + 1 + dt(v) <= q.k
     }
-    val local = Adjacency(u.result(), v.result(), d.result(), a.result())
-    LightIndex(q, 0.0, local, local.ids.map(ds), local.ids.map(dt))
+    var n = 0
+    var i = 0
+    while (i < src.length) { if (kept(i)) n += 1; i += 1 }
+    val (us, vs, dts, as) = (new Array[Long](n), new Array[Long](n), new Array[Int](n), new Array[A](n))
+    n = 0
+    i = 0
+    while (i < src.length) {
+      if (kept(i)) { us(n) = src(i); vs(n) = dst(i); dts(n) = dt(g.to(i)); as(n) = attr(i); n += 1 }
+      i += 1
+    }
+    val local = Adjacency(us, vs, dts, as)
+    val (xs, xt) = (new Array[Int](local.vertexCount), new Array[Int](local.vertexCount))
+    i = 0
+    while (i < local.vertexCount) {
+      val x = g.vertex(local.ids(i))
+      xs(i) = ds(x)
+      xt(i) = dt(x)
+      i += 1
+    }
+    LightIndex(q, 0.0, local, xs, xt)
   }
 }

@@ -6,27 +6,26 @@ import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import scala.collection.mutable
 import scala.reflect.ClassTag
 
-/** Bounded breadth-first-search distances: one loop, [[search]], over
-  * one hop kernel fed by either of two edge streams.
+/** Bounded breadth-first-search distances, on Spark over the graph or on
+  * the driver over edges already shipped there.
   *
-  * Up to two searches run at once: one from a source along the edges and
-  * one from a target against them (distances *to* the target). Hop i is one
-  * superstep in the Pregel sense: a [[Hop]] takes both frontiers and
-  * returns the successors of the forward one and the predecessors of the
-  * backward one. The visited maps and the dedup stay on the driver, so a
-  * hop returns only candidate frontier vertices. Every hop is a
-  * [[HopKernel]], a pass over a stream of edges:
+  * On Spark, up to two searches run at once in one loop, [[search]]: one
+  * from a source along the edges and one from a target against them
+  * (distances *to* the target). Hop i is one superstep in the Pregel sense:
+  * a [[Hop]] takes both frontiers and returns the successors of the forward
+  * one and the predecessors of the backward one. The visited maps and the
+  * dedup stay on the driver, so a hop returns only candidate frontier
+  * vertices. [[sparkHop]] runs a hop as one Spark job ([[HopTask]]) over
+  * the caller's edges ([[pairs]]), run by [[Edges.run]]. The frontiers
+  * travel in the task as sorted arrays, so every hop runs the same plan
+  * with no SQL join or shuffle.
   *
-  *  - [[sparkHop]] streams the caller's edges ([[pairs]]) through it in one
-  *    Spark job, run by [[Edges.run]]. The frontiers travel in the task as
-  *    sorted arrays, so every hop runs the same plan with no SQL join or
-  *    shuffle: one Spark job per hop.
-  *  - [[driverHop]] streams edges already collected on the driver through
-  *    it, and runs no job. [[repro.core.LightIndex]] and
-  *    [[repro.baseline.BcDfs]] finish their searches with it over the
-  *    candidate edges of a meet-in-the-middle search.
+  * On the driver, [[Local]] numbers the shipped edges' endpoints densely and
+  * runs one search at a time with no job, reading only its frontier's edges.
+  * [[repro.core.LightIndex]] and [[repro.baseline.BcDfs]] finish their
+  * searches with it over the candidate edges of a meet-in-the-middle search.
   *
-  * Vertices in a search's stop set (`sStop`, `tStop`, `noExpand`) may be
+  * A search's stop vertices (`sStop`, `tStop`, `noExpand`, `stop`) may be
   * *reached* (they get a distance) but are never *expanded through*. This realizes the paper's
   * `S(s, v | G − {t})` / `S(v, t | G − {s})` semantics: the excluded vertex
   * cannot be an interior vertex of the shortest path, but can be its
@@ -57,10 +56,33 @@ object Bfs {
       * `SparkContext.runJob` hand it lambdas of their own large classes. It
       * skips that step for a function object that is not a lambda, so each
       * task is a named [[Task]], handed to the two-argument overload: Spark
-      * then only checks that the task serializes. */
-    def run[U: ClassTag](task: Task[U]): Array[U] =
-      rows.sparkContext.runJob(rows, task, rows.partitions.indices)
+      * then only checks that the task serializes.
+      *
+      * Spark also names each job after its call site, which it finds by
+      * walking the calling thread's stack unless the local properties
+      * `callSite.short` and `callSite.long` are both set. The public
+      * `setCallSite` sets only the short one, so both are set here, to the
+      * task's class name, for the job, and the caller's values are restored
+      * after it: each job's stage is named after its task. */
+    def run[U: ClassTag](task: Task[U]): Array[U] = {
+      val sc = rows.sparkContext
+      val callerShort = sc.getLocalProperty(CallSiteShort)
+      val callerLong = sc.getLocalProperty(CallSiteLong)
+      val name = task.getClass.getSimpleName
+      sc.setLocalProperty(CallSiteShort, name)
+      sc.setLocalProperty(CallSiteLong, name)
+      try sc.runJob(rows, task, rows.partitions.indices)
+      finally {
+        sc.setLocalProperty(CallSiteShort, callerShort)
+        sc.setLocalProperty(CallSiteLong, callerLong)
+      }
+    }
   }
+
+  /** The local properties Spark reads a job's call site from before it
+    * walks the stack (its own constants are private). */
+  private val CallSiteShort = "callSite.short"
+  private val CallSiteLong = "callSite.long"
 
   /** The edges of `edges` (columns `src` and `dst`, of any integral type)
     * as the search scans them. `Dataset.rdd` is memoized on the DataFrame,
@@ -89,32 +111,20 @@ object Bfs {
   /** Whether the sorted array `xs` holds `v`. */
   def has(xs: Array[Long], v: Long): Boolean = java.util.Arrays.binarySearch(xs, v) >= 0
 
-  /** One hop of both searches over a stream of edges: fed every edge
-    * `(u, v)` once, it returns the distinct successors of `fwd` and
-    * predecessors of `bwd`. The one hop kernel of [[sparkHop]] and
-    * [[driverHop]]. */
-  private final class HopKernel(fwd: Array[Long], bwd: Array[Long]) {
-    private val (succ, pred) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong)
-
-    def add(u: Long, v: Long): Unit = {
-      if (has(fwd, u)) succ.addOne(v)
-      if (has(bwd, v)) pred.addOne(u)
-    }
-
-    def result(): (Array[Long], Array[Long]) =
-      (sortedDistinct(succ.result()), sortedDistinct(pred.result()))
-  }
-
-  /** [[HopKernel]] over the rows of one partition. */
+  /** One hop of both searches over the rows of one partition: the
+    * distinct successors of `fwd` and predecessors of `bwd`. */
   private final class HopTask(src: Int, dst: Int, fwd: Array[Long], bwd: Array[Long])
       extends Task[(Array[Long], Array[Long])] {
     def apply(ctx: TaskContext, it: Iterator[Row]): (Array[Long], Array[Long]) = {
-      val hop = new HopKernel(fwd, bwd)
+      val (succ, pred) = (new mutable.ArrayBuilder.ofLong, new mutable.ArrayBuilder.ofLong)
       while (it.hasNext) {
         val r = it.next()
-        hop.add(id(r, src), id(r, dst))
+        val u = id(r, src)
+        val v = id(r, dst)
+        if (has(fwd, u)) succ.addOne(v)
+        if (has(bwd, v)) pred.addOne(u)
       }
-      hop.result()
+      (sortedDistinct(succ.result()), sortedDistinct(pred.result()))
     }
   }
 
@@ -124,12 +134,81 @@ object Bfs {
     (concat(found.map(_._1)), concat(found.map(_._2)))
   }
 
-  /** A hop as [[HopKernel]] over the edges `src(i) -> dst(i)` held on the
-    * driver: no job. */
-  def driverHop(src: Array[Long], dst: Array[Long]): Hop = (f, b) => {
-    val hop = new HopKernel(f, b)
-    for (i <- src.indices) hop.add(src(i), dst(i))
-    hop.result()
+  /** The edges `src(i) -> dst(i)` held on the driver, searched with no job.
+    *
+    * `ids` is the sorted distinct endpoints, and `from(i)` and `to(i)` are
+    * edge i's endpoints as positions in it. A search counts the edges out by
+    * the end it expands from, once, so each vertex's edges are one range;
+    * holds its distances in an array over the vertex numbers, −1 where
+    * unreached; and expands each level's frontier by reading only the
+    * frontier vertices' ranges. So it reads each edge at most once. The
+    * loops build no tuple, box nothing and call no closure: a C1-only JVM,
+    * with no escape analysis, would allocate for each, per edge. */
+  final class Local(src: Array[Long], dst: Array[Long]) {
+    val ids: Array[Long] = sortedDistinct(Array.concat(src, dst))
+    val from: Array[Int] = numbers(src)
+    val to: Array[Int] = numbers(dst)
+
+    /** The vertex number of `id`, or −1 if no edge touches it. */
+    def vertex(id: Long): Int = math.max(-1, java.util.Arrays.binarySearch(ids, id))
+
+    private def numbers(xs: Array[Long]): Array[Int] = {
+      val ns = new Array[Int](xs.length)
+      var i = 0
+      while (i < xs.length) { ns(i) = java.util.Arrays.binarySearch(ids, xs(i)); i += 1 }
+      ns
+    }
+
+    /** Distances from `s` along the edges within `maxHops` hops, never
+      * expanding through `stop`. */
+    def forward(s: Long, maxHops: Int, stop: Option[Long] = None): Array[Int] =
+      bfs(from, to, s, maxHops, stop)
+
+    /** Distances to `t` against the edges within `maxHops` hops, never
+      * expanding through `stop`. */
+    def backward(t: Long, maxHops: Int, stop: Option[Long] = None): Array[Int] =
+      bfs(to, from, t, maxHops, stop)
+
+    /** The search from `root` over the edges `key(i) -> other(i)`. */
+    private def bfs(key: Array[Int], other: Array[Int], root: Long, maxHops: Int,
+                    stop: Option[Long]): Array[Int] = {
+      val n = ids.length
+      // The edges counted out by `key`: v's neighbors are adj(start(v) until start(v + 1)).
+      val start = new Array[Int](n + 1)
+      var i = 0
+      while (i < key.length) { start(key(i) + 1) += 1; i += 1 }
+      i = 0
+      while (i < n) { start(i + 1) += start(i); i += 1 }
+      val next = java.util.Arrays.copyOf(start, n)
+      val adj = new Array[Int](key.length)
+      i = 0
+      while (i < key.length) { adj(next(key(i))) = other(i); next(key(i)) += 1; i += 1 }
+      val dist = new Array[Int](n)
+      java.util.Arrays.fill(dist, -1)
+      val r = vertex(root)
+      if (r >= 0) {
+        val noExpand = stop.fold(-1)(vertex)
+        // The vertices in the order reached: each level's frontier is a run of it.
+        val queue = new Array[Int](n)
+        queue(0) = r
+        dist(r) = 0
+        var head = 0
+        var tail = 1
+        while (head < tail) {
+          val v = queue(head)
+          head += 1
+          if (dist(v) < maxHops && v != noExpand) {
+            var e = start(v)
+            while (e < start(v + 1)) {
+              val w = adj(e)
+              if (dist(w) < 0) { dist(w) = dist(v) + 1; queue(tail) = w; tail += 1 }
+              e += 1
+            }
+          }
+        }
+      }
+      dist
+    }
   }
 
   /** Distances from `s` along the edges, never expanding through `sStop`,

@@ -1,6 +1,5 @@
 package repro
 
-import java.lang.management.ManagementFactory
 import java.util.concurrent.{ConcurrentHashMap, CountDownLatch, TimeUnit}
 import java.util.concurrent.atomic.AtomicInteger
 import org.apache.spark.SparkContext
@@ -8,13 +7,15 @@ import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import repro.baseline.BcDfs
 import repro.core.{EnumConfig, Extensions, HcQuery, LightIndex, PathEnum}
 
-/** The Spark jobs of one job group and the stages they planned. */
-final case class GroupWork(jobs: Int, stages: Int)
+/** The Spark jobs of one job group, the stages they planned and the
+  * stages' names. */
+final case class GroupWork(jobs: Int, stages: Int, stageNames: Set[String])
 
 /** Counts the Spark jobs and stages of one job group (`spark.jobGroup.id`). */
 final class GroupJobs(sc: SparkContext) extends SparkListener {
   private val jobs = new ConcurrentHashMap[String, AtomicInteger]()
   private val stages = new ConcurrentHashMap[String, AtomicInteger]()
+  private val names = new ConcurrentHashMap[String, Set[String]]()
   private val markers = new ConcurrentHashMap[String, CountDownLatch]()
   private var groups = 0
   sc.addSparkListener(this)
@@ -23,6 +24,7 @@ final class GroupJobs(sc: SparkContext) extends SparkListener {
     Option(e.properties).flatMap(p => Option(p.getProperty("spark.jobGroup.id"))).foreach { g =>
       jobs.computeIfAbsent(g, _ => new AtomicInteger).incrementAndGet()
       stages.computeIfAbsent(g, _ => new AtomicInteger).addAndGet(e.stageInfos.size)
+      names.merge(g, e.stageInfos.map(_.name).toSet, _ ++ _)
       Option(markers.get(g)).foreach(_.countDown())
     }
 
@@ -42,7 +44,7 @@ final class GroupJobs(sc: SparkContext) extends SparkListener {
     in(marker)(sc.parallelize(Seq(1), 1).count())
     assert(markers.get(marker).await(60, TimeUnit.SECONDS), "listener events did not arrive")
     def of(m: ConcurrentHashMap[String, AtomicInteger]) = Option(m.get(group)).fold(0)(_.get)
-    GroupWork(of(jobs), of(stages))
+    GroupWork(of(jobs), of(stages), Option(names.get(group)).getOrElse(Set.empty))
   }
 }
 
@@ -114,21 +116,28 @@ class JobCountSpec extends ReproSpec {
     }
   }
 
-  /** Heap bytes the calling thread allocates in one call of `f`, after one
-    * warm call. */
-  private def allocated(f: => Any): Long = {
-    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
-    f
-    val before = mx.getCurrentThreadAllocatedBytes
-    f
-    mx.getCurrentThreadAllocatedBytes - before
+  /** Spark names a job's stage after its call site. The query path sets the
+    * call site to its task's name for each job, so Spark does not walk the
+    * calling thread's stack for it, and gives the caller's call site back. */
+  test("a PathEnum query's stages are named after its tasks, and the caller's call site stays set") {
+    val edges = edgeDf(TestGraphs.figure1)
+    val sc = spark.sparkContext
+    sc.setCallSite("caller")
+    try {
+      val w = counter.count(PathEnum.run(spark, edges, HcQuery(1L, 2L, 4), cfg))
+      assert(w.jobs > 0 && w.stageNames.subsetOf(Set("HopTask", "CandidateTask")), w)
+      assert(sc.getLocalProperty("callSite.short") == "caller")
+      assert(sc.getLocalProperty("callSite.long") == null)
+    } finally sc.clearCallSite()
   }
 
   /** The driver's own cost of a query: what its calling thread allocates.
     * Spark's closure cleaner re-reading a large class file for each job
     * allocated 12.7-12.9 MB per index build or PathEnum call and 21.3-21.5 MB
-    * per BC-DFS call here; named tasks and a primitive driver finish
-    * allocate 0.12-0.24 MB (4 cores). */
+    * per BC-DFS call here. Named tasks and a primitive driver finish took
+    * that to 94-100 KB; a call site set for each job, so that Spark walks no
+    * stack for it, and a driver search over densely numbered edges take it
+    * to 16-20 KB (4 cores). */
   test("index, PathEnum and BC-DFS each allocate under 2 MB on the calling thread on layered (k = 4)") {
     val edges = edgeDf(TestGraphs.layered)
     val q = HcQuery(1L, 2L, 4)

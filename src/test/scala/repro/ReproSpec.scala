@@ -1,5 +1,6 @@
 package repro
 
+import java.lang.management.ManagementFactory
 import org.apache.spark.sql.DataFrame
 import repro.core.{HcQuery, LightIndex}
 import repro.graph.GraphGen
@@ -15,6 +16,16 @@ trait ReproSpec extends SparkSpec {
   def driverIndex(pairs: Seq[(Long, Long)], q: HcQuery): LightIndex[Unit] =
     LightIndex.fromCandidates(pairs.map(_._1).toArray, pairs.map(_._2).toArray,
       Array.fill(pairs.size)(()), q)
+
+  /** Heap bytes the calling thread allocates in one call of `f`, after
+    * `warm` warm calls. */
+  def allocated(f: => Any, warm: Int = 1): Long = {
+    val mx = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    for (_ <- 1 to warm) f
+    val before = mx.getCurrentThreadAllocatedBytes
+    f
+    mx.getCurrentThreadAllocatedBytes - before
+  }
 
   /** Canonical path set from an EnumResult that collected paths; fails if
     * a path repeats or the paths disagree with the result count. */

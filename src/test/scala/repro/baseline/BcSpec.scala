@@ -58,7 +58,10 @@ class BcSpec extends ReproSpec {
     val graphs = TestGraphs.randomCases(9, n = 14, e = 40) ++
       TestGraphs.randomCases(9, n = 20, e = 90) ++ Seq("layered" -> TestGraphs.layered,
         "figure1" -> TestGraphs.figure1, "cyclic" -> TestGraphs.cyclic,
-        "selfLoops" -> TestGraphs.selfLoops)
+        "selfLoops" -> TestGraphs.selfLoops, "s missing" -> Seq((3L, 2L), (4L, 3L)),
+        "t missing" -> Seq((1L, 3L), (3L, 4L)),
+        "t unreachable" -> Seq((1L, 3L), (3L, 4L), (2L, 5L), (5L, 1L)),
+        "a direct s-t edge" -> Seq((1L, 2L), (1L, 3L), (3L, 2L), (3L, 4L), (4L, 2L), (2L, 1L)))
     for ((name, pairs) <- graphs) {
       val (ref, edges) = (RefGraph.Ref(pairs), edgeDf(pairs))
       for (k <- 2 to 6) {

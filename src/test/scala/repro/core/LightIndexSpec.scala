@@ -147,4 +147,15 @@ class LightIndexSpec extends ReproSpec {
   test("self-loops and duplicate edges") {
     for (k <- 2 to 4) assertReference(TestGraphs.selfLoops, HcQuery(1L, 2L, k))
   }
+
+  /** The driver finish allocated 118 bytes per candidate edge here with
+    * a k-hop search that read every edge at each hop, and 53 with one
+    * search over the edges numbered densely (4 cores). */
+  test("the driver finish allocates under 80 bytes per candidate edge on the calling thread") {
+    // Every edge of a seeded random graph is a candidate.
+    val pairs = RefGraph.random(300, 2000, seed = 16) ++ Seq((1L, 3L), (4L, 2L))
+    val (src, dst, attr) = (pairs.map(_._1).toArray, pairs.map(_._2).toArray, Array.fill(pairs.size)(()))
+    val bytes = allocated(LightIndex.fromCandidates(src, dst, attr, HcQuery(1L, 2L, 6)), warm = 20)
+    assert(bytes <= 80L * src.length, s"$bytes bytes for ${src.length} candidate edges")
+  }
 }

@@ -87,12 +87,20 @@ class BfsSpec extends ReproSpec {
   for ((name, pairs) <- TestGraphs.randomCases(5) ++ Seq("selfLoops" -> TestGraphs.selfLoops,
          "figure1" -> TestGraphs.figure1); hops <- Seq(2, 5)) {
     test(s"the driver hop gives the Spark hop's ds and dt within $hops hops on $name") {
-      def both(hop: Bfs.Hop) = Seq(
-        Bfs.search(hop, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L)),
-        Bfs.search(hop, Some(1L), None, hops),
-        Bfs.search(hop, None, Some(2L), hops, tStop = Set(1L)))
-      assert(both(Bfs.driverHop(pairs.map(_._1).toArray, pairs.map(_._2).toArray)) ==
-        both(Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))))
+      val hop = Bfs.sparkHop(Bfs.pairs(edgeDf(pairs)))
+      val g = new Bfs.Local(pairs.map(_._1).toArray, pairs.map(_._2).toArray)
+      // The reached vertices of `d` as a map; the Spark search also reaches
+      // a root that no edge touches.
+      def reached(root: Long, d: Array[Int]): Map[Long, Int] = {
+        val m = g.ids.indices.collect { case v if d(v) >= 0 => g.ids(v) -> d(v) }.toMap
+        if (g.vertex(root) >= 0) m else m + (root -> 0)
+      }
+      assert(Bfs.search(hop, Some(1L), Some(2L), hops, sStop = Set(2L), tStop = Set(1L)) ==
+        (reached(1L, g.forward(1L, hops, stop = Some(2L))),
+          reached(2L, g.backward(2L, hops, stop = Some(1L)))))
+      assert(Bfs.search(hop, Some(1L), None, hops)._1 == reached(1L, g.forward(1L, hops)))
+      assert(Bfs.search(hop, None, Some(2L), hops, tStop = Set(1L))._2 ==
+        reached(2L, g.backward(2L, hops, stop = Some(1L))))
     }
   }
 }
